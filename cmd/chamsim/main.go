@@ -30,7 +30,6 @@ import (
 	"cham/internal/core"
 	"cham/internal/fpga"
 	"cham/internal/noise"
-	"cham/internal/obs"
 	"cham/internal/obs/trace"
 	"cham/internal/rlwe"
 )
@@ -43,11 +42,7 @@ var workers = flag.Int("workers", 0, "evaluator worker goroutines (0 = GOMAXPROC
 func tracedApply(pm *core.PreparedMatrix, res *core.Result, ctV []*rlwe.Ciphertext) error {
 	tc, sp := trace.Root("chamsim", "apply")
 	rec := trace.NewStageRecorder(tc)
-	var sink obs.StageSink
-	if rec != nil {
-		sink = rec
-	}
-	err := pm.ApplyIntoSink(res, ctV, sink)
+	err := pm.ApplyTiles(res.Packed, nil, ctV, rec.Sink())
 	rec.Emit("kernel")
 	sp.EndErr(err)
 	return err

@@ -177,8 +177,8 @@ func (e *Evaluator) matVec(A [][]uint64, ctV []*rlwe.Ciphertext) (*Result, error
 		return nil, fmt.Errorf("%w (no columns)", ErrEmptyMatrix)
 	}
 	chunks := (cols + n - 1) / n
-	if chunks != len(ctV) {
-		return nil, fmt.Errorf("%w: matrix has %d column chunks but vector has %d ciphertexts", ErrVectorLength, chunks, len(ctV))
+	if err := e.validateVector(ctV, chunks); err != nil {
+		return nil, err
 	}
 	for i := range A {
 		if len(A[i]) != cols {
@@ -203,9 +203,7 @@ func (e *Evaluator) matVec(A [][]uint64, ctV []*rlwe.Ciphertext) (*Result, error
 	e.ensureInvN()
 	sc := e.getApplyScratch(chunks, maxPad)
 	defer e.putApplyScratch(sc)
-	if err := e.loadVector(sc, ctV); err != nil {
-		return nil, err
-	}
+	e.loadVector(sc, ctV)
 	res := &Result{M: m, N: n}
 	for base := 0; base < m; base += n {
 		rows := m - base
@@ -256,29 +254,13 @@ func PlainMatVec(p bfv.Params, A [][]uint64, v []uint64) []uint64 {
 // MatVecMulti computes A·v_k for many vectors sharing one matrix — the
 // batched-inference pattern the paper's introduction motivates (many
 // encrypted inputs amortize the per-matrix work). It is Prepare followed
-// by one Apply per vector; matrices of any shape MatVec accepts work,
-// including multi-tile (m > N). vecs[k] must each come from EncryptVector
-// with the same column count.
+// by ApplyBatch; matrices of any shape MatVec accepts work, including
+// multi-tile (m > N). vecs[k] must each come from EncryptVector with the
+// same column count.
 func (e *Evaluator) MatVecMulti(A [][]uint64, vecs [][]*rlwe.Ciphertext) ([]*Result, error) {
-	if len(vecs) == 0 {
-		return nil, countErr(fmt.Errorf("%w: no vectors", ErrVectorLength))
-	}
 	pm, err := e.Prepare(A)
 	if err != nil {
 		return nil, err
 	}
-	for k, v := range vecs {
-		if len(v) != pm.chunks {
-			return nil, countErr(fmt.Errorf("%w: vector %d has %d chunks, want %d", ErrVectorLength, k, len(v), pm.chunks))
-		}
-	}
-	out := make([]*Result, len(vecs))
-	for k, ctV := range vecs {
-		res, err := pm.Apply(ctV)
-		if err != nil {
-			return nil, err
-		}
-		out[k] = res
-	}
-	return out, nil
+	return pm.ApplyBatch(vecs)
 }

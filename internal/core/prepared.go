@@ -4,8 +4,9 @@ package core
 // centred lift, forward NTT, Shoup companion tables) is hoisted out of the
 // per-vector path, mirroring how CHAM keeps operands resident instead of
 // re-streaming them. A PreparedMatrix is built once with Prepare and then
-// applied to any number of encrypted vectors; ApplyInto reuses pooled
-// scratch end to end, so a warm apply performs zero heap allocations.
+// applied to any number of encrypted vectors through one driver
+// (apply.go) that reuses pooled scratch end to end, so a warm apply at
+// Workers=1 performs zero heap allocations.
 //
 // Per row, the dot product fuses stage 4's EXTRACTLWES into the inverse
 // transform: extraction at index 0 only needs the constant coefficient of
@@ -17,7 +18,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"cham/internal/bfv"
 	"cham/internal/lwe"
@@ -39,9 +39,9 @@ type preparedTile struct {
 // PreparedMatrix is a cleartext matrix fixed in evaluation-ready form.
 // Build with Evaluator.Prepare (all tiles) or Evaluator.PrepareTiles (a
 // subset — the sharded serving tier prepares only the tiles a node owns),
-// apply with Apply / ApplyInto / ApplyTiles. The tiles slice always spans
-// the full matrix; unprepared entries are nil until PrepareTile fills
-// them in. The struct is not internally synchronized: callers interleaving
+// apply with Apply / ApplyInto / ApplyBatchInto / ApplyTiles. The tiles
+// slice always spans the full matrix; unprepared entries are nil until
+// PrepareTile fills them in. The struct is not internally synchronized: callers interleaving
 // PrepareTile with applies must order them (the server holds a per-matrix
 // lock across lazy preparation).
 type PreparedMatrix struct {
@@ -271,161 +271,7 @@ func (e *Evaluator) buildTile(pm *PreparedMatrix, A [][]uint64, ti int, rs *rowS
 	return t
 }
 
-// NewResult allocates a result of the right shape for ApplyInto.
-func (pm *PreparedMatrix) NewResult() *Result {
-	p := pm.ev.P
-	res := &Result{M: pm.m, N: p.R.N, Packed: make([]*rlwe.Ciphertext, len(pm.tiles))}
-	for i := range res.Packed {
-		res.Packed[i] = &rlwe.Ciphertext{B: p.R.NewPoly(p.NormalLevels), A: p.R.NewPoly(p.NormalLevels)}
-	}
-	return res
-}
-
-// Apply computes A·v for one encrypted vector (the per-vector stages of the
-// pipeline only), allocating a fresh Result.
-func (pm *PreparedMatrix) Apply(ctV []*rlwe.Ciphertext) (*Result, error) {
-	res := pm.NewResult()
-	if err := pm.ApplyInto(res, ctV); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// ApplyInto is Apply writing into a caller-owned Result (from NewResult).
-// All intermediates come from pooled scratch: a warm call does not touch
-// the heap.
-func (pm *PreparedMatrix) ApplyInto(res *Result, ctV []*rlwe.Ciphertext) error {
-	return pm.ApplyIntoSink(res, ctV, nil)
-}
-
-// ApplyIntoSink is ApplyInto with per-stage kernel durations also routed to
-// sink (a traced request's recorder; it must tolerate concurrent StageAdd
-// calls). A nil sink is exactly ApplyInto.
-func (pm *PreparedMatrix) ApplyIntoSink(res *Result, ctV []*rlwe.Ciphertext, sink obs.StageSink) error {
-	on := obs.On()
-	var t0 time.Time
-	if on {
-		t0 = time.Now()
-	}
-	if err := pm.applyInto(res, ctV, sink); err != nil {
-		return countErr(err)
-	}
-	if on {
-		mApplyPrepared.Observe(time.Since(t0).Seconds())
-		mAppliesPrepared.Inc()
-		mRows.Add(uint64(pm.m))
-	}
-	return nil
-}
-
-func (pm *PreparedMatrix) applyInto(res *Result, ctV []*rlwe.Ciphertext, sink obs.StageSink) error {
-	e := pm.ev
-	if err := pm.validateVector(ctV); err != nil {
-		return err
-	}
-	if err := pm.validateResult(res); err != nil {
-		return err
-	}
-	for ti, t := range pm.tiles {
-		if t == nil {
-			return fmt.Errorf("%w: tile %d (prepared sparsely; use ApplyTiles or PrepareTile)", ErrTileNotPrepared, ti)
-		}
-	}
-	e.ensureInvN()
-	sc := e.getApplyScratch(pm.chunks, pm.maxPad)
-	defer e.putApplyScratch(sc)
-	sc.sink = sink
-	sc.clk.Attach(sink)
-	if err := e.loadVector(sc, ctV); err != nil {
-		return err
-	}
-	for ti, t := range pm.tiles {
-		if err := e.tileApply(res.Packed[ti], sc, t, nil, 0, t.rows, t.mPad); err != nil {
-			return err
-		}
-	}
-	res.M, res.N = pm.m, e.P.R.N
-	return nil
-}
-
-// ApplyTiles computes only the listed row tiles of A·v, writing tile
-// tiles[k]'s packed ciphertext into out[k] — the shard-side apply of the
-// cluster tier. Each out entry must be shaped like a NewResult tile.
-// Because every tile's ciphertext depends only on its own rows, the
-// results are bit-identical to the corresponding entries of a full
-// ApplyInto (the gather-merge invariant the cluster tests pin down).
-func (pm *PreparedMatrix) ApplyTiles(out []*rlwe.Ciphertext, tiles []int, ctV []*rlwe.Ciphertext) error {
-	return pm.ApplyTilesSink(out, tiles, ctV, nil)
-}
-
-// ApplyTilesSink is ApplyTiles with per-stage kernel durations also routed
-// to sink (see ApplyIntoSink); nil sink is exactly ApplyTiles.
-func (pm *PreparedMatrix) ApplyTilesSink(out []*rlwe.Ciphertext, tiles []int, ctV []*rlwe.Ciphertext, sink obs.StageSink) error {
-	on := obs.On()
-	var t0 time.Time
-	if on {
-		t0 = time.Now()
-	}
-	if err := pm.applyTiles(out, tiles, ctV, sink); err != nil {
-		return countErr(err)
-	}
-	if on {
-		mApplyPrepared.Observe(time.Since(t0).Seconds())
-		mAppliesPrepared.Inc()
-		rows := 0
-		for _, ti := range tiles {
-			rows += pm.TileRows(ti)
-		}
-		mRows.Add(uint64(rows))
-	}
-	return nil
-}
-
-func (pm *PreparedMatrix) applyTiles(out []*rlwe.Ciphertext, tiles []int, ctV []*rlwe.Ciphertext, sink obs.StageSink) error {
-	e := pm.ev
-	if err := pm.validateVector(ctV); err != nil {
-		return err
-	}
-	if len(out) != len(tiles) {
-		return fmt.Errorf("%w: %d output slots for %d tiles", ErrResultShape, len(out), len(tiles))
-	}
-	for k, ti := range tiles {
-		if ti < 0 || ti >= len(pm.tiles) {
-			return fmt.Errorf("%w: tile %d of %d", ErrTileIndex, ti, len(pm.tiles))
-		}
-		if pm.tiles[ti] == nil {
-			return fmt.Errorf("%w: tile %d", ErrTileNotPrepared, ti)
-		}
-		ct := out[k]
-		if ct == nil || ct.B == nil || ct.A == nil {
-			return fmt.Errorf("%w: output slot %d is nil", ErrResultShape, k)
-		}
-		if ct.B.Levels() != e.P.NormalLevels || ct.A.Levels() != e.P.NormalLevels ||
-			len(ct.B.Coeffs[0]) != e.P.R.N || len(ct.A.Coeffs[0]) != e.P.R.N {
-			return fmt.Errorf("%w: output slot %d has the wrong shape", ErrResultShape, k)
-		}
-	}
-	if len(tiles) == 0 {
-		return nil
-	}
-	e.ensureInvN()
-	sc := e.getApplyScratch(pm.chunks, pm.maxPad)
-	defer e.putApplyScratch(sc)
-	sc.sink = sink
-	sc.clk.Attach(sink)
-	if err := e.loadVector(sc, ctV); err != nil {
-		return err
-	}
-	for k, ti := range tiles {
-		t := pm.tiles[ti]
-		if err := e.tileApply(out[k], sc, t, nil, 0, t.rows, t.mPad); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// --- shared per-vector machinery (used by both ApplyInto and MatVec) ---
+// --- shared per-vector machinery (used by both the prepared apply and MatVec) ---
 
 // rowScratch is the per-worker arena for one row's stages 1–4. The
 // a-part needs no accumulator of its own: it MACs straight into the tree
@@ -460,8 +306,7 @@ func (e *Evaluator) putRowScratch(rs *rowScratch) {
 type applyScratch struct {
 	vNTT []*rlwe.Ciphertext // full basis, NTT domain
 	tree []*lwe.PackNode    // NTT-resident; consumed by PackResident
-	clk  obs.StageClock     // times the shared vector transforms
-	sink obs.StageSink      // traced request's recorder; nil when unsampled
+	clk  obs.StageClock     // times the shared vector transforms; carries the trace sink
 }
 
 func (e *Evaluator) getApplyScratch(chunks, mPad int) *applyScratch {
@@ -494,7 +339,6 @@ func (e *Evaluator) getApplyScratch(chunks, mPad int) *applyScratch {
 func (e *Evaluator) putApplyScratch(sc *applyScratch) {
 	// Detach any trace sink before pooling — the next caller must not
 	// attribute its stages to this request's trace.
-	sc.sink = nil
 	sc.clk.Attach(nil)
 	e.applyPool.Put(sc)
 }
@@ -531,18 +375,13 @@ func (e *Evaluator) effWorkers(items int) int {
 	return w
 }
 
-// loadVector copies the vector ciphertexts into scratch and forward-
-// transforms them once — the pipeline's shared stage-1 work.
-func (e *Evaluator) loadVector(sc *applyScratch, ctV []*rlwe.Ciphertext) error {
+// loadVector copies the vector ciphertexts (already validated) into
+// scratch and forward-transforms them once — the pipeline's shared
+// stage-1 work.
+func (e *Evaluator) loadVector(sc *applyScratch, ctV []*rlwe.Ciphertext) {
 	r := e.P.R
 	sc.clk.Start()
 	for c, ct := range ctV {
-		if ct == nil || ct.B == nil || ct.A == nil {
-			return fmt.Errorf("%w: vector ciphertext %d is nil", ErrVectorLength, c)
-		}
-		if ct.Levels() != r.Levels() {
-			return fmt.Errorf("%w: vector ciphertext %d", ErrVectorBasis, c)
-		}
 		v := sc.vNTT[c]
 		v.CopyFrom(ct)
 		sc.clk.Skip() // the copy is not a pipeline stage
@@ -555,7 +394,6 @@ func (e *Evaluator) loadVector(sc *applyScratch, ctV []*rlwe.Ciphertext) error {
 		sc.clk.Mark(obs.StageNTT)
 	}
 	sc.clk.Flush()
-	return nil
 }
 
 // rowApplyInto runs stages 1–4 for one matrix row against the transformed
@@ -633,7 +471,7 @@ func (e *Evaluator) tileApply(out *rlwe.Ciphertext, sc *applyScratch, tile *prep
 		e.tileRowsParallel(sc, tile, raw, scale, rows, workers)
 	} else {
 		rs := e.getRowScratch()
-		rs.clk.Attach(sc.sink)
+		rs.clk.Attach(sc.clk.Sink())
 		for i := 0; i < rows; i++ {
 			e.tileRow(sc, tile, raw, scale, i, rs)
 		}
@@ -642,11 +480,12 @@ func (e *Evaluator) tileApply(out *rlwe.Ciphertext, sc *applyScratch, tile *prep
 	for i := rows; i < mPad; i++ {
 		sc.tree[i].Zero()
 	}
-	root, err := lwe.PackResidentSink(e.P, sc.tree[:mPad], e.Keys, workers, sc.sink)
+	sink := sc.clk.Sink()
+	root, err := lwe.PackResidentSink(e.P, sc.tree[:mPad], e.Keys, workers, sink)
 	if err != nil {
 		return err
 	}
-	lwe.FlushIntoSink(e.P, out, root, sc.sink)
+	lwe.FlushIntoSink(e.P, out, root, sink)
 	return nil
 }
 
@@ -672,7 +511,7 @@ func (e *Evaluator) tileRowsParallel(sc *applyScratch, tile *preparedTile, raw [
 			defer wg.Done()
 			rs := e.getRowScratch()
 			defer e.putRowScratch(rs)
-			rs.clk.Attach(sc.sink)
+			rs.clk.Attach(sc.clk.Sink())
 			for {
 				i := int(atomic.AddInt64(&next, 1)) - 1
 				if i >= rows {

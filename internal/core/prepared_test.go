@@ -325,7 +325,7 @@ func TestPrepareTilesSparse(t *testing.T) {
 		return out
 	}
 	out := newOut(len(own))
-	if err := pm.ApplyTiles(out, own, ctV); err != nil {
+	if err := pm.ApplyTiles(out, own, ctV, nil); err != nil {
 		t.Fatal(err)
 	}
 	for k, ti := range own {
@@ -335,10 +335,10 @@ func TestPrepareTilesSparse(t *testing.T) {
 	}
 
 	// Unprepared and out-of-range tiles come back as typed sentinels.
-	wantErr(t, pm.ApplyTiles(newOut(1), []int{1}, ctV), ErrTileNotPrepared, "unprepared tile")
-	wantErr(t, pm.ApplyTiles(newOut(1), []int{9}, ctV), ErrTileIndex, "out-of-range tile")
+	wantErr(t, pm.ApplyTiles(newOut(1), []int{1}, ctV, nil), ErrTileNotPrepared, "unprepared tile")
+	wantErr(t, pm.ApplyTiles(newOut(1), []int{9}, ctV, nil), ErrTileIndex, "out-of-range tile")
 	wantErr(t, pm.ApplyInto(pm.NewResult(), ctV), ErrTileNotPrepared, "full apply on sparse matrix")
-	wantErr(t, pm.ApplyTiles(newOut(2), []int{0}, ctV), ErrResultShape, "output slot count mismatch")
+	wantErr(t, pm.ApplyTiles(newOut(2), []int{0}, ctV, nil), ErrResultShape, "output slot count mismatch")
 	wantErr(t, pm.PrepareTile(A, 17), ErrTileIndex, "PrepareTile out of range")
 	wantErr(t, pm.PrepareTile(A[:1], 1), ErrRaggedMatrix, "PrepareTile wrong row count")
 

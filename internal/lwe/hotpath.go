@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"cham/internal/bfv"
 	"cham/internal/obs"
@@ -43,33 +42,10 @@ import (
 // hoisted digit decomposition of the automorphism key switch (decompose),
 // and the key-dependent digit·key accumulation (key_switch). FlushInto's
 // tree-exit transforms and the deferred divisions of both parts report
-// under intt and moddown.
-var (
-	packSec   = obs.StageHistogram(obs.StagePack)
-	decSec    = obs.StageHistogram(obs.StageDecompose)
-	ksSec     = obs.StageHistogram(obs.StageKeySwitch)
-	pmdSec    = obs.StageHistogram(obs.StagePackModDown)
-	inttSec   = obs.StageHistogram(obs.StageINTT)
-	mergesCnt = obs.GetCounter("cham_hmvp_pack_merges_total",
-		"PACKTWOLWES tree merges (m-1 per packed tile).")
-)
-
-// observeStage publishes one stage duration: to the sink when a sampled
-// request is tracing this apply (with the trace ID as the histogram
-// exemplar), to the histogram alone otherwise. hist is the caller's
-// cached obs.On().
-func observeStage(h *obs.Histogram, stage int, d time.Duration, hist bool, sink obs.StageSink) {
-	if sink != nil {
-		sink.StageAdd(stage, d)
-		if hist {
-			h.ObserveExemplar(d.Seconds(), sink.ExemplarLabel())
-		}
-		return
-	}
-	if hist {
-		h.Observe(d.Seconds())
-	}
-}
+// under intt and moddown. All of it is charged through obs.StageClock,
+// the same clock core's row loop uses.
+var mergesCnt = obs.GetCounter("cham_hmvp_pack_merges_total",
+	"PACKTWOLWES tree merges (m-1 per packed tile).")
 
 // ExtractAsRLWEInto fuses Extract and AsRLWE, writing the result into a
 // caller-owned normal-basis ciphertext: out's plaintext holds coefficient
@@ -182,6 +158,7 @@ type MergeScratch struct {
 	dA  *ring.Poly // full basis: E.A - X^z·O.A
 	c1  *ring.Poly // full basis: Σ_j dec_j ∘ A_j
 	aN  *ring.Poly // normal basis, coefficient domain: rescaled gathered a
+	clk obs.StageClock
 }
 
 // msShells recycles MergeScratch headers; the buffers they carry come from
@@ -204,8 +181,8 @@ func GetMergeScratch(p bfv.Params) *MergeScratch {
 	return ms
 }
 
-// PutMergeScratch returns a merge arena to the pools. The caller must not
-// use ms afterwards.
+// PutMergeScratch returns a merge arena to the pools, detaching any trace
+// sink from its stage clock. The caller must not use ms afterwards.
 func PutMergeScratch(p bfv.Params, ms *MergeScratch) {
 	if ms == nil {
 		return
@@ -216,6 +193,7 @@ func PutMergeScratch(p bfv.Params, ms *MergeScratch) {
 	p.R.PutPoly(ms.c1)
 	p.R.PutPoly(ms.aN)
 	ms.dec, ms.dBT, ms.dA, ms.c1, ms.aN = nil, nil, nil, nil, nil
+	ms.clk.Attach(nil)
 	msShells.Put(ms)
 }
 
@@ -229,21 +207,12 @@ func PutMergeScratch(p bfv.Params, ms *MergeScratch) {
 // into the full-basis accumulators un-rescaled. The only rescale is of
 // the gathered difference a-part feeding the digit decomposition — the
 // one place the merge is nonlinear in a. E and O are consumed
-// (overwritten as scratch); out may alias E but not O.
+// (overwritten as scratch); out may alias E but not O. Stage durations
+// go to ms's clock, and to the trace sink PackResidentSink attached to
+// it, if any.
 func PackTwoResident(p bfv.Params, out *PackNode, i int, E, O *PackNode, swk *rlwe.SwitchingKey, ms *MergeScratch) {
-	PackTwoResidentSink(p, out, i, E, O, swk, ms, nil)
-}
-
-// PackTwoResidentSink is PackTwoResident with per-stage durations also
-// routed to sink (a traced request's recorder); nil sink is exactly
-// PackTwoResident.
-func PackTwoResidentSink(p bfv.Params, out *PackNode, i int, E, O *PackNode, swk *rlwe.SwitchingKey, ms *MergeScratch, sink obs.StageSink) {
-	hist := obs.On()
-	on := hist || sink != nil
-	var t0 time.Time
-	if on {
-		t0 = time.Now()
-	}
+	clk := &ms.clk
+	clk.Start()
 	r := p.R
 	z := r.N / (2 * i)
 	k := 2*i + 1
@@ -256,10 +225,7 @@ func PackTwoResidentSink(p bfv.Params, out *PackNode, i int, E, O *PackNode, swk
 	r.MonomialSplitNTT(out.A, ms.dA, E.A, O.A, z)
 	r.AutomorphNTTAddInto(out.BT, ms.dBT, k)
 	r.AutomorphNTT(O.A, ms.dA, k)
-	var t1 time.Time
-	if on {
-		t1 = time.Now()
-	}
+	clk.Mark(obs.StagePack)
 	// φ_k(diff) decrypts under φ_k(s); the switch brings its TRUE a-part
 	// ModDown(φ_k(dA)) back under s. The rescale runs in coefficient form —
 	// the view the digit lifts read anyway, so its inverse transforms
@@ -278,30 +244,19 @@ func PackTwoResidentSink(p bfv.Params, out *PackNode, i int, E, O *PackNode, swk
 	if a != O.A {
 		r.PutPoly(a)
 	}
-	var t2 time.Time
-	if on {
-		t2 = time.Now()
-	}
+	clk.Mark(obs.StagePackModDown)
 	// Decomposition commutes with φ_k, so the digits are built straight
 	// from the gathered, rescaled a-part.
 	p.DecomposeInto(ms.dec, ms.aN)
-	var t3 time.Time
-	if on {
-		t3 = time.Now()
-	}
+	clk.Mark(obs.StageDecompose)
 	p.KeySwitchAccumulateNTT(out.BT, ms.c1, ms.dec, swk)
 	// The switched a-part joins the accumulator un-rescaled, mirroring the
 	// b-part: both deferred divisions run once per tree, at FlushInto.
 	r.Add(out.A, out.A, ms.c1)
-	if on {
-		t4 := time.Now()
-		observeStage(packSec, obs.StagePack, t1.Sub(t0), hist, sink)
-		observeStage(pmdSec, obs.StagePackModDown, t2.Sub(t1), hist, sink)
-		observeStage(decSec, obs.StageDecompose, t3.Sub(t2), hist, sink)
-		observeStage(ksSec, obs.StageKeySwitch, t4.Sub(t3), hist, sink)
-		if hist {
-			mergesCnt.Inc()
-		}
+	clk.Mark(obs.StageKeySwitch)
+	clk.Flush()
+	if obs.On() {
+		mergesCnt.Inc()
 	}
 }
 
@@ -315,26 +270,17 @@ func FlushInto(p bfv.Params, out *rlwe.Ciphertext, nd *PackNode) {
 // FlushIntoSink is FlushInto with per-stage durations also routed to sink;
 // nil sink is exactly FlushInto.
 func FlushIntoSink(p bfv.Params, out *rlwe.Ciphertext, nd *PackNode, sink obs.StageSink) {
-	hist := obs.On()
-	on := hist || sink != nil
-	var t0 time.Time
-	if on {
-		t0 = time.Now()
-	}
+	var clk obs.StageClock
+	clk.Attach(sink)
+	clk.Start()
 	r := p.R
 	r.INTT(nd.BT)
 	r.INTT(nd.A)
-	var t1 time.Time
-	if on {
-		t1 = time.Now()
-	}
+	clk.Mark(obs.StageINTT)
 	flushModDown(p, out.B, nd.BT)
 	flushModDown(p, out.A, nd.A)
-	if on {
-		t2 := time.Now()
-		observeStage(inttSec, obs.StageINTT, t1.Sub(t0), hist, sink)
-		observeStage(pmdSec, obs.StagePackModDown, t2.Sub(t1), hist, sink)
-	}
+	clk.Mark(obs.StagePackModDown)
+	clk.Flush()
 }
 
 // flushModDown divides one full-basis coefficient-domain accumulator down
@@ -400,9 +346,10 @@ func PackResidentSink(p bfv.Params, nodes []*PackNode, keys *PackingKeys, worker
 		} else {
 			if ms == nil {
 				ms = GetMergeScratch(p)
+				ms.clk.Attach(sink)
 			}
 			for j := 0; j < half; j++ {
-				PackTwoResidentSink(p, nodes[j], i, nodes[j], nodes[j+half], swk, ms, sink)
+				PackTwoResident(p, nodes[j], i, nodes[j], nodes[j+half], swk, ms)
 			}
 		}
 		count = half
@@ -424,81 +371,15 @@ func packLevelParallel(p bfv.Params, nodes []*PackNode, i, half int, swk *rlwe.S
 			defer wg.Done()
 			ms := GetMergeScratch(p)
 			defer PutMergeScratch(p, ms)
+			ms.clk.Attach(sink)
 			for {
 				j := int(atomic.AddInt64(&next, 1)) - 1
 				if j >= half {
 					return
 				}
-				PackTwoResidentSink(p, nodes[j], i, nodes[j], nodes[j+half], swk, ms, sink)
+				PackTwoResident(p, nodes[j], i, nodes[j], nodes[j+half], swk, ms)
 			}
 		}()
 	}
 	wg.Wait()
-}
-
-// PackTwoInto is PackTwoLWEs writing into a caller-owned ciphertext:
-// out = (ct_e + X^{N/2i}·ct_o) + φ_{2i+1}(ct_e - X^{N/2i}·ct_o).
-// ctE and ctO are consumed (overwritten as scratch); out may alias ctE but
-// not ctO. All temporaries are pooled. A single merge's deferred divisions
-// are exact (the leaves enter as P·b and P·a), so the result is
-// bit-identical to the eager per-merge ModDown schedule.
-func PackTwoInto(p bfv.Params, out *rlwe.Ciphertext, i int, ctE, ctO *rlwe.Ciphertext, swk *rlwe.SwitchingKey) {
-	r := p.R
-	e := getPackNode(p)
-	o := getPackNode(p)
-	ResidentFromRLWE(p, e, ctE)
-	ResidentFromRLWE(p, o, ctO)
-	ms := GetMergeScratch(p)
-	PackTwoResident(p, e, i, e, o, swk, ms)
-	PutMergeScratch(p, ms)
-	FlushInto(p, out, e)
-	putPackNode(r, e)
-	putPackNode(r, o)
-}
-
-// PackRLWEs packs m := len(cts) RLWE slot ciphertexts (the AsRLWE form of
-// LWE extractions, normal basis, coefficient domain) into cts[0], which is
-// returned. m must be a power of two covered by keys. The entries of cts
-// are consumed: every buffer is overwritten as tree scratch.
-//
-// The tree itself runs NTT-resident with the b-part division deferred to
-// one flush (see PackResident); the packed plaintext is unchanged, and
-// the output noise is slightly LOWER than the eager schedule's (one
-// rounding instead of one per merge level).
-func PackRLWEs(p bfv.Params, cts []*rlwe.Ciphertext, keys *PackingKeys, workers int) (*rlwe.Ciphertext, error) {
-	m := len(cts)
-	if m == 1 {
-		return cts[0], nil
-	}
-	r := p.R
-	nodes := make([]*PackNode, m)
-	ok := m >= 1 && m&(m-1) == 0 && m <= r.N
-	for j := range nodes {
-		nodes[j] = getPackNode(p)
-		if ok {
-			ResidentFromRLWE(p, nodes[j], cts[j])
-		}
-	}
-	root, err := PackResident(p, nodes, keys, workers)
-	if err == nil {
-		FlushInto(p, cts[0], root)
-	}
-	for _, nd := range nodes {
-		putPackNode(r, nd)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return cts[0], nil
-}
-
-// getPackNode borrows a resident node whose polynomial buffers come from
-// the ring pools (contents arbitrary).
-func getPackNode(p bfv.Params) *PackNode {
-	return &PackNode{BT: p.R.GetPoly(p.R.Levels()), A: p.R.GetPoly(p.R.Levels())}
-}
-
-func putPackNode(r *ring.Ring, nd *PackNode) {
-	r.PutPoly(nd.BT)
-	r.PutPoly(nd.A)
 }

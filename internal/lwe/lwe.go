@@ -114,21 +114,6 @@ func GenPackingKeys(p bfv.Params, rng *rand.Rand, sk *rlwe.SecretKey, m int) (*P
 	return pk, nil
 }
 
-// PackTwoLWEs merges two packed groups of size i into one of size 2i
-// (Alg. 2): ct = (ct_e + X^{N/2i}·ct_o) + φ_{2i+1}(ct_e - X^{N/2i}·ct_o),
-// with the automorphism realised homomorphically via the switching key.
-func PackTwoLWEs(p bfv.Params, i int, ctE, ctO *rlwe.Ciphertext, swk *rlwe.SwitchingKey) *rlwe.Ciphertext {
-	lv := ctE.Levels()
-	out := &rlwe.Ciphertext{B: p.R.NewPoly(lv), A: p.R.NewPoly(lv)}
-	// PackTwoInto consumes its odd operand; work on a pooled copy so this
-	// non-destructive API keeps its contract.
-	o := p.GetCiphertext(lv)
-	o.CopyFrom(ctO)
-	PackTwoInto(p, out, i, ctE, o, swk)
-	p.PutCiphertext(o)
-	return out
-}
-
 // PackLWEs packs the given LWE ciphertexts (Alg. 3) into a single RLWE
 // ciphertext. len(cts) must be a power of two not exceeding N, and keys
 // must cover that size. Element i of the result's plaintext lives at
@@ -142,11 +127,26 @@ func PackLWEs(p bfv.Params, cts []*Ciphertext, keys *PackingKeys) (*rlwe.Ciphert
 	if keys.M < m {
 		return nil, fmt.Errorf("lwe: packing keys cover m=%d < %d", keys.M, m)
 	}
-	rl := make([]*rlwe.Ciphertext, m)
-	for i, c := range cts {
-		rl[i] = c.AsRLWE(p)
+	if m == 1 {
+		return cts[0].AsRLWE(p), nil
 	}
-	return PackRLWEs(p, rl, keys, 1)
+	// The tree runs NTT-resident with both parts' divisions deferred to
+	// one flush (see PackResident); the packed plaintext is unchanged, and
+	// the output noise is slightly LOWER than an eager per-merge schedule's
+	// (one rounding instead of one per merge level).
+	nodes := make([]*PackNode, m)
+	for i, c := range cts {
+		nodes[i] = NewPackNode(p)
+		ResidentFromRLWE(p, nodes[i], c.AsRLWE(p))
+	}
+	root, err := PackResident(p, nodes, keys, 1)
+	if err != nil {
+		return nil, err
+	}
+	lv := cts[0].Levels()
+	out := &rlwe.Ciphertext{B: p.R.NewPoly(lv), A: p.R.NewPoly(lv)}
+	FlushInto(p, out, root)
+	return out, nil
 }
 
 // PackReductions returns the number of PACKTWOLWES invocations needed to

@@ -36,6 +36,15 @@ func NewStageRecorder(parent Context) *StageRecorder {
 	return &StageRecorder{parent: parent, label: parent.Trace.String(), base: time.Now()}
 }
 
+// Sink returns r as the kernel's obs.StageSink, or a nil interface for a
+// nil (unsampled) recorder — never a typed nil the kernel would call.
+func (r *StageRecorder) Sink() obs.StageSink {
+	if r == nil {
+		return nil
+	}
+	return r
+}
+
 // StageAdd accumulates d into stage (obs.StageSink).
 func (r *StageRecorder) StageAdd(stage int, d time.Duration) {
 	r.acc[stage].Add(int64(d))

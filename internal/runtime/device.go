@@ -5,10 +5,12 @@
 // loading error handling, hang detection with reset, and health
 // monitoring.
 //
-// The device is a faithful software stand-in: a register file with
-// parity, per-engine job execution whose latency comes from the pipeline
-// model, DMA accounting, and a fault-injection plan that tests use to
-// exercise every recovery path.
+// The device is a software stand-in: a register file with parity,
+// per-engine job execution, DMA accounting, and a fault-injection plan
+// that tests use to exercise every recovery path. A job's latency is
+// either the flat per-job duration given to NewDevice or, after
+// SetRowLatency, base + perRow × the descriptor's row count; it is not
+// derived from the cycle-level pipeline model.
 package runtime
 
 import (

@@ -29,7 +29,6 @@ import (
 
 	"cham/internal/bfv"
 	"cham/internal/core"
-	"cham/internal/obs"
 	"cham/internal/obs/trace"
 	"cham/internal/rlwe"
 	rt "cham/internal/runtime"
@@ -441,92 +440,66 @@ func (s *Server) runBatch(batch []*request) {
 		}
 	}
 
-	r := s.cfg.Params.R
 	for _, req := range live {
 		if time.Now().After(req.deadline) {
 			s.finishErr(req, wire.Errf(wire.CodeDeadline, "deadline expired before service"))
 			continue
 		}
-		t0 := time.Now()
-		mat := req.mat
-		sctx, ssp := trace.Start(req.tc, "server", "serve")
-		rec := trace.NewStageRecorder(sctx)
-		if req.tiles != nil {
-			s.runTileRequest(req, t0, rec, &ssp)
-			continue
-		}
-		res := mat.getResult()
-		if err := mat.pm.ApplyIntoSink(res, req.vec, sinkOf(rec)); err != nil {
-			mat.putResult(res)
-			ssp.EndErr(err)
-			s.finishErr(req, wire.Errf(wire.CodeBadRequest, "apply: %v", err))
-			continue
-		}
-		payload := wire.EncodeResult(r, wire.Result{
-			M:      uint32(res.M),
-			N:      uint32(res.N),
-			Packed: res.Packed,
-		})
-		mat.putResult(res)
-		mServeSec.Observe(time.Since(t0).Seconds())
-		mApplies.Inc()
-		rec.Emit("kernel")
-		ssp.End()
-		if req.tc.Sampled() {
-			s.cfg.Log.Debug("apply served",
-				"trace_id", req.tc.Trace.String(),
-				"dur", time.Since(t0),
-				"rows", mat.handle.Rows)
-		}
-		s.finish(req, wire.MsgResult, payload)
+		s.serve(req)
 	}
 }
 
-// sinkOf converts a possibly-nil *StageRecorder into a StageSink without
-// producing a typed-nil interface (which the kernel would dereference).
-func sinkOf(rec *trace.StageRecorder) obs.StageSink {
-	if rec == nil {
-		return nil
-	}
-	return rec
-}
-
-// runTileRequest serves the tile-subset half of runBatch: only the listed
-// row tiles are computed, and they come back labelled so the coordinator
-// can place each at its index in the gathered result.
-func (s *Server) runTileRequest(req *request, t0 time.Time, rec *trace.StageRecorder, ssp *trace.Span) {
+// serve runs one request through the kernel's single traced entry point,
+// ApplyTiles — every tile into a pooled Result for a full apply, the
+// listed subset for a tile request — and encodes the matching reply: a
+// MsgResult, or a MsgTileResult labelled so the coordinator can place
+// each tile at its index in the gathered result.
+func (s *Server) serve(req *request) {
+	t0 := time.Now()
+	sctx, ssp := trace.Start(req.tc, "server", "serve")
+	rec := trace.NewStageRecorder(sctx)
 	p := s.cfg.Params
 	mat := req.mat
-	tiles := make([]int, len(req.tiles))
-	out := make([]*rlwe.Ciphertext, len(req.tiles))
-	for i, ti := range req.tiles {
-		tiles[i] = int(ti)
-		out[i] = &rlwe.Ciphertext{B: p.R.NewPoly(p.NormalLevels), A: p.R.NewPoly(p.NormalLevels)}
+	var tiles []int
+	var out []*rlwe.Ciphertext
+	if req.tiles == nil {
+		res := mat.getResult()
+		defer mat.putResult(res)
+		out = res.Packed
+	} else {
+		tiles = make([]int, len(req.tiles))
+		out = make([]*rlwe.Ciphertext, len(req.tiles))
+		for i, ti := range req.tiles {
+			tiles[i] = int(ti)
+			out[i] = &rlwe.Ciphertext{B: p.R.NewPoly(p.NormalLevels), A: p.R.NewPoly(p.NormalLevels)}
+		}
 	}
-	if err := mat.pm.ApplyTilesSink(out, tiles, req.vec, sinkOf(rec)); err != nil {
+	if err := mat.pm.ApplyTiles(out, tiles, req.vec, rec.Sink()); err != nil {
 		ssp.EndErr(err)
-		s.finishErr(req, wire.Errf(wire.CodeBadRequest, "tile apply: %v", err))
+		s.finishErr(req, wire.Errf(wire.CodeBadRequest, "apply: %v", err))
 		return
 	}
-	payload := wire.EncodeTileResult(p.R, wire.TileResult{
-		M:      mat.handle.Rows,
-		N:      uint32(p.R.N),
-		Tiles:  req.tiles,
-		Packed: out,
-	})
+	msg := wire.MsgResult
+	var payload []byte
+	if req.tiles == nil {
+		payload = wire.EncodeResult(p.R, wire.Result{M: mat.handle.Rows, N: uint32(p.R.N), Packed: out})
+	} else {
+		msg = wire.MsgTileResult
+		payload = wire.EncodeTileResult(p.R, wire.TileResult{M: mat.handle.Rows, N: uint32(p.R.N), Tiles: req.tiles, Packed: out})
+		mTilesServed.Add(uint64(len(req.tiles)))
+		ssp.Annotate(fmt.Sprintf("%d tiles", len(req.tiles)))
+	}
 	mServeSec.Observe(time.Since(t0).Seconds())
 	mApplies.Inc()
-	mTilesServed.Add(uint64(len(req.tiles)))
 	rec.Emit("kernel")
-	ssp.Annotate(fmt.Sprintf("%d tiles", len(req.tiles)))
 	ssp.End()
 	if req.tc.Sampled() {
-		s.cfg.Log.Debug("tile apply served",
+		s.cfg.Log.Debug("apply served",
 			"trace_id", req.tc.Trace.String(),
 			"dur", time.Since(t0),
-			"tiles", len(req.tiles))
+			"rows", s.requestRows(req))
 	}
-	s.finish(req, wire.MsgTileResult, payload)
+	s.finish(req, msg, payload)
 }
 
 // requestRows is the row count a request actually computes: the whole
