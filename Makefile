@@ -31,17 +31,15 @@ bench-vet:
 # Benchmarks only run on a tree that has passed it.
 tier2: race fuzz vet-strict obs-race serve-smoke cluster-smoke trace-smoke np-smoke bench-diff
 
-# Warm-path regression gate: re-measure the chambench shapes and fail if
-# any Prepared/warm or Pack/warm ns/op regresses >10% over the committed
-# BENCH_hmvp.json or the warm path allocates, then re-measure the sharded
-# tier and fail if the 2-shard aggregate speedup drops below the 1.6x
-# floor or regresses >25% against the committed cluster section, then
-# re-measure the chamnp array tier and fail if the warm batched MatMul
-# allocates or its ns/op regresses >10% over the committed np section.
+# Regression gate: re-measure the warm, cluster and np sections in one
+# chambench run and check them against the committed BENCH_hmvp.json
+# with one rule table (cmd/chambench/gate.go): Prepared/warm, Pack/warm
+# and NpMatMul/warm must stay allocation-free and within 10% of their
+# baseline ns/op, and the 2-shard cluster speedup must clear the 1.6x
+# floor and stay within 25% of the baseline. Every failing rule is
+# listed before the run exits non-zero.
 bench-diff:
-	$(GO) run ./cmd/chambench -compare BENCH_hmvp.json
-	$(GO) run ./cmd/chambench -cluster -compare BENCH_hmvp.json
-	$(GO) run ./cmd/chambench -np -compare BENCH_hmvp.json
+	$(GO) run ./cmd/chambench -compare BENCH_hmvp.json warm cluster np
 
 obs-race:
 	$(GO) vet ./internal/obs
@@ -124,7 +122,9 @@ np-smoke:
 	$(GO) run ./examples/matmul -n 128 -batch 3
 	$(GO) run ./examples/inference -n 128 -batch 2
 
-# Hot-path benchmarks + the machine-readable BENCH_hmvp.json report.
+# Hot-path benchmarks + the machine-readable BENCH_hmvp.json report:
+# chambench regenerates the three gated sections (warm, cluster, np) and
+# leaves every other section of the ledger as it was.
 bench: tier2 metrics-smoke
 	$(GO) test -run xxx -bench 'Software|PreparedMatVec' -benchmem .
-	$(GO) run ./cmd/chambench
+	$(GO) run ./cmd/chambench warm cluster np

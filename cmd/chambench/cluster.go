@@ -7,19 +7,18 @@ package main
 // finishes its card job in half the time — the same reason a real
 // multi-card deployment scales. Aggregate rows/s per fleet size and the
 // latency distribution under 1000 simulated clients land in the
-// `cluster` section of BENCH_hmvp.json, and the run itself gates on the
-// 2-shard fleet clearing 1.6x over 1 shard.
+// `cluster` section of BENCH_hmvp.json, and the gate holds the 2-shard
+// fleet to clearing 1.6x over 1 shard on every run.
 //
 // Every fleet's first gathered result is checked bit-identical to the
 // in-process evaluator before anything is timed.
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"math/rand"
 	"net"
+	"os"
 	"sort"
 	"sync"
 	"time"
@@ -33,6 +32,7 @@ import (
 	"cham/internal/rlwe"
 	rt "cham/internal/runtime"
 	"cham/internal/server"
+	"cham/internal/testutil"
 )
 
 // Cluster benchmark shape: a 2048×32 matrix at ring degree 32 spans 64
@@ -50,17 +50,13 @@ const (
 	// Latency fleet: a lighter card (51ms full-matrix job) keeps the
 	// 1000-client closed-loop run in seconds while still queueing.
 	clusterP99PerRow = 25 * time.Microsecond
-
-	// clusterSpeedupFloor is the acceptance gate: 2 shards must clear this
-	// aggregate-throughput multiple over 1 shard.
-	clusterSpeedupFloor = 1.6
 )
 
 // clusterFleet is one fleet size's measurement.
 type clusterFleet struct {
-	Shards       int     `json:"shards"`
-	Applies      int     `json:"applies"`
-	RowsPerSec   float64 `json:"rows_per_sec"`
+	Shards        int     `json:"shards"`
+	Applies       int     `json:"applies"`
+	RowsPerSec    float64 `json:"rows_per_sec"`
 	AppliesPerSec float64 `json:"applies_per_sec"`
 }
 
@@ -84,17 +80,25 @@ type clusterResult struct {
 	P99           clusterP99     `json:"p99"`
 }
 
-// clusterHarness holds the shared cleartext/ciphertext fixtures.
-type clusterHarness struct {
+// fixture holds a served-matrix benchmark's keys, matrix and one
+// encrypted vector, plus the matrix prepared in-process over the same
+// keys and its apply: the single-node reference a remote or sharded apply
+// is held to.
+type fixture struct {
 	p    bfv.Params
+	rng  *rand.Rand
+	sk   *rlwe.SecretKey
 	keys *lwe.PackingKeys
 	A    [][]uint64
 	ctV  []*rlwe.Ciphertext
+	pm   *core.PreparedMatrix
 	want *core.Result
 }
 
-func newClusterHarness() (*clusterHarness, error) {
-	p, err := bfv.NewChamParams(clusterRingN)
+// newFixture draws a rows×cols matrix and one vector at ring degree ringN
+// from seed 99.
+func newFixture(ringN, rows, cols int) (*fixture, error) {
+	p, err := bfv.NewChamParams(ringN)
 	if err != nil {
 		return nil, err
 	}
@@ -104,20 +108,8 @@ func newClusterHarness() (*clusterHarness, error) {
 	if err != nil {
 		return nil, err
 	}
-	A := make([][]uint64, clusterRows)
-	for i := range A {
-		A[i] = make([]uint64, clusterCols)
-		for j := range A[i] {
-			A[i][j] = rng.Uint64() % p.T.Q
-		}
-	}
-	v := make([]uint64, clusterCols)
-	for j := range v {
-		v[j] = rng.Uint64() % p.T.Q
-	}
-	ctV := core.EncryptVector(p, rng, sk, v)
-
-	// Single-node ground truth for the per-fleet bit-identity gate.
+	A := testutil.Matrix(rng, rows, cols, p.T.Q)
+	ctV := core.EncryptVector(p, rng, sk, testutil.Vector(rng, cols, p.T.Q))
 	ev, err := core.NewEvaluatorFromKeys(p, keys)
 	if err != nil {
 		return nil, err
@@ -130,31 +122,36 @@ func newClusterHarness() (*clusterHarness, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &clusterHarness{p: p, keys: keys, A: A, ctV: ctV, want: want}, nil
+	return &fixture{p: p, rng: rng, sk: sk, keys: keys, A: A, ctV: ctV, pm: pm, want: want}, nil
 }
 
 // startFleet boots `shards` lazy-tile nodes with descriptor-aware cards
 // plus a coordinator, installs keys, registers the matrix, and verifies
-// one gathered apply bit-for-bit before returning.
-func (h *clusterHarness) startFleet(shards int, perRow time.Duration, maxBatch int) (*cluster.Coordinator, [32]byte, func(), error) {
+// one gathered apply bit-for-bit before returning. On error everything
+// it started is shut down.
+func (f *fixture) startFleet(shards int, perRow time.Duration, maxBatch int) (_ *cluster.Coordinator, _ [32]byte, shutdown func(), err error) {
 	var closers []func()
-	shutdown := func() {
+	shutdown = func() {
 		for i := len(closers) - 1; i >= 0; i-- {
 			closers[i]()
 		}
 	}
+	defer func() {
+		if err != nil {
+			shutdown()
+		}
+	}()
 	addrs := make([]string, shards)
 	for i := 0; i < shards; i++ {
 		dev := rt.NewDevice(2, time.Millisecond, rt.FaultPlan{})
 		dev.SetRowLatency(time.Millisecond, perRow)
 		card, err := rt.New(dev)
 		if err != nil {
-			shutdown()
 			return nil, [32]byte{}, nil, err
 		}
 		card.JobTimeout = 30 * time.Second
 		s, err := server.New(server.Config{
-			Params:          h.p,
+			Params:          f.p,
 			LazyTiles:       true,
 			Card:            card,
 			MaxBatch:        maxBatch,
@@ -163,12 +160,10 @@ func (h *clusterHarness) startFleet(shards int, perRow time.Duration, maxBatch i
 			DefaultDeadline: 120 * time.Second,
 		})
 		if err != nil {
-			shutdown()
 			return nil, [32]byte{}, nil, err
 		}
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			shutdown()
 			return nil, [32]byte{}, nil, err
 		}
 		go s.Serve(ln)
@@ -176,7 +171,7 @@ func (h *clusterHarness) startFleet(shards int, perRow time.Duration, maxBatch i
 		closers = append(closers, func() { ln.Close() })
 	}
 	co, err := cluster.New(cluster.Config{
-		Params: h.p,
+		Params: f.p,
 		Nodes:  addrs,
 		// The hedging policy is for production stragglers; a benchmark
 		// fleet's card waits are the workload, so keep hedges out of it.
@@ -184,58 +179,36 @@ func (h *clusterHarness) startFleet(shards int, perRow time.Duration, maxBatch i
 		RequestTimeout: 120 * time.Second,
 	})
 	if err != nil {
-		shutdown()
 		return nil, [32]byte{}, nil, err
 	}
 	closers = append(closers, co.Close)
-	if _, err := co.SetupKeys(h.keys); err != nil {
-		shutdown()
+	if _, err := co.SetupKeys(f.keys); err != nil {
 		return nil, [32]byte{}, nil, err
 	}
-	handle, err := co.RegisterMatrix(h.A)
+	handle, err := co.RegisterMatrix(f.A)
 	if err != nil {
-		shutdown()
 		return nil, [32]byte{}, nil, err
 	}
-	got, err := co.Apply(handle.ID, h.ctV)
+	got, err := co.Apply(handle.ID, f.ctV)
 	if err != nil {
-		shutdown()
 		return nil, [32]byte{}, nil, err
 	}
-	if len(got.Packed) != len(h.want.Packed) {
-		shutdown()
-		return nil, [32]byte{}, nil, fmt.Errorf("%d-shard fleet gathered %d tiles, want %d", shards, len(got.Packed), len(h.want.Packed))
+	if len(got.Packed) != len(f.want.Packed) {
+		return nil, [32]byte{}, nil, fmt.Errorf("%d-shard fleet gathered %d tiles, want %d", shards, len(got.Packed), len(f.want.Packed))
 	}
 	for ti := range got.Packed {
-		if !sameCT(got.Packed[ti], h.want.Packed[ti]) {
-			shutdown()
+		g, w := got.Packed[ti], f.want.Packed[ti]
+		if !g.B.Equal(w.B) || !g.A.Equal(w.A) {
 			return nil, [32]byte{}, nil, fmt.Errorf("%d-shard fleet: tile %d not bit-identical to single-node apply", shards, ti)
 		}
 	}
 	return co, handle.ID, shutdown, nil
 }
 
-func sameCT(a, b *rlwe.Ciphertext) bool {
-	for l := 0; l < a.B.Levels(); l++ {
-		for i := range a.B.Coeffs[l] {
-			if a.B.Coeffs[l][i] != b.B.Coeffs[l][i] {
-				return false
-			}
-		}
-	}
-	for l := 0; l < a.A.Levels(); l++ {
-		for i := range a.A.Coeffs[l] {
-			if a.A.Coeffs[l][i] != b.A.Coeffs[l][i] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// volley drives `clients` closed-loop goroutines, `perClient` applies
-// each, and returns the per-request latencies plus the makespan.
-func volley(co *cluster.Coordinator, id [32]byte, ctV []*rlwe.Ciphertext, clients, perClient int) ([]time.Duration, time.Duration, error) {
+// volley drives `clients` closed-loop goroutines, each calling
+// apply(client) `perClient` times, and returns the per-request latencies
+// plus the makespan.
+func volley(clients, perClient int, apply func(c int) error) ([]time.Duration, time.Duration, error) {
 	lat := make([]time.Duration, clients*perClient)
 	var wg sync.WaitGroup
 	errs := make(chan error, clients)
@@ -246,7 +219,7 @@ func volley(co *cluster.Coordinator, id [32]byte, ctV []*rlwe.Ciphertext, client
 			defer wg.Done()
 			for i := 0; i < perClient; i++ {
 				r0 := time.Now()
-				if _, err := co.Apply(id, ctV); err != nil {
+				if err := apply(c); err != nil {
 					errs <- fmt.Errorf("client %d: %w", c, err)
 					return
 				}
@@ -270,11 +243,12 @@ func percentile(lat []time.Duration, q float64) time.Duration {
 	return s[idx]
 }
 
-// runCluster measures the fleets and returns the report section.
-func runCluster() (*clusterResult, error) {
-	h, err := newClusterHarness()
+// runCluster measures the fleets into the cluster section, then, with
+// -trace-sample, prints one traced request through a 2-shard fleet.
+func runCluster(rep report) error {
+	f, err := newFixture(clusterRingN, clusterRows, clusterCols)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	res := &clusterResult{RingDegree: clusterRingN, Rows: clusterRows, Cols: clusterCols}
 
@@ -286,26 +260,29 @@ func runCluster() (*clusterResult, error) {
 		// descriptor, not the sum), so coalescing luck would swamp the
 		// sharding signal this phase isolates. MaxBatch=1 makes card time
 		// scale purely with per-shard rows — deterministic run to run.
-		co, id, stop, err := h.startFleet(shards, clusterPerRow, 1)
+		co, id, stop, err := f.startFleet(shards, clusterPerRow, 1)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		_, makespan, err := volley(co, id, h.ctV, clients, perClient)
+		_, makespan, err := volley(clients, perClient, func(int) error {
+			_, err := co.Apply(id, f.ctV)
+			return err
+		})
 		stop()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		applies := clients * perClient
-		f := clusterFleet{
+		fleet := clusterFleet{
 			Shards:        shards,
 			Applies:       applies,
 			RowsPerSec:    float64(applies*clusterRows) / makespan.Seconds(),
 			AppliesPerSec: float64(applies) / makespan.Seconds(),
 		}
-		perShard[shards] = f.RowsPerSec
-		res.Fleets = append(res.Fleets, f)
+		perShard[shards] = fleet.RowsPerSec
+		res.Fleets = append(res.Fleets, fleet)
 		fmt.Printf("cluster %d shard(s):   %12.0f rows/s  (%d applies in %v)\n",
-			shards, f.RowsPerSec, applies, makespan.Round(time.Millisecond))
+			shards, fleet.RowsPerSec, applies, makespan.Round(time.Millisecond))
 	}
 	res.Speedup2Shard = perShard[2] / perShard[1]
 	res.Speedup4Shard = perShard[4] / perShard[1]
@@ -317,14 +294,17 @@ func runCluster() (*clusterResult, error) {
 	// The latency fleet keeps request coalescing on — under a 1000-client
 	// pile-up batching is the serving tier's real behavior, and the
 	// distribution under saturation is the number being reported.
-	co, id, stop, err := h.startFleet(2, clusterP99PerRow, 16)
+	co, id, stop, err := f.startFleet(2, clusterP99PerRow, 16)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	lat, makespan, err := volley(co, id, h.ctV, simClients, 1)
+	lat, makespan, err := volley(simClients, 1, func(int) error {
+		_, err := co.Apply(id, f.ctV)
+		return err
+	})
 	stop()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	res.P99 = clusterP99{
 		Shards:     2,
@@ -335,16 +315,17 @@ func runCluster() (*clusterResult, error) {
 	}
 	fmt.Printf("1000-client 2-shard:   p50 %.0f ms, p99 %.0f ms, %12.0f rows/s\n",
 		res.P99.P50Millis, res.P99.P99Millis, res.P99.RowsPerSec)
-
-	if res.Speedup2Shard < clusterSpeedupFloor {
-		return nil, fmt.Errorf("2-shard aggregate speedup %.2fx below the %.2fx floor",
-			res.Speedup2Shard, clusterSpeedupFloor)
+	if err := rep.set("cluster", res); err != nil {
+		return err
 	}
-	return res, nil
+	if *traceSample > 0 {
+		return runTracedClusterRequest(*traceSample)
+	}
+	return nil
 }
 
 // runTracedClusterRequest is the end-to-end tracing demo behind
-// `chambench -cluster -trace-sample`: a 2-shard fleet behind a real wire
+// `chambench -trace-sample R cluster`: a 2-shard fleet behind a real wire
 // gateway serves one sampled client apply, and because every tier runs
 // in this process the span ring already holds the merged trace. The
 // span tree — client → gateway → coordinator → both shards → server
@@ -356,11 +337,11 @@ func runTracedClusterRequest(rate float64) error {
 	trace.SetSampleRate(rate)
 	defer trace.SetSampleRate(0)
 
-	h, err := newClusterHarness()
+	f, err := newFixture(clusterRingN, clusterRows, clusterCols)
 	if err != nil {
 		return err
 	}
-	co, id, stop, err := h.startFleet(2, clusterP99PerRow, 1)
+	co, id, stop, err := f.startFleet(2, clusterP99PerRow, 1)
 	if err != nil {
 		return err
 	}
@@ -376,13 +357,13 @@ func runTracedClusterRequest(rate float64) error {
 	go gw.Serve(ln)
 	defer gw.Shutdown(context.Background())
 
-	cl, err := client.Dial(client.Config{Params: h.p, Addr: ln.Addr().String()})
+	cl, err := client.Dial(client.Config{Params: f.p, Addr: ln.Addr().String()})
 	if err != nil {
 		return err
 	}
 	defer cl.Close()
 	tc, sp := trace.Root("chambench", "apply")
-	_, aerr := cl.ApplyTraced(tc, id, h.ctV)
+	_, aerr := cl.ApplyTraced(tc, id, f.ctV)
 	sp.EndErr(aerr)
 	if aerr != nil {
 		return aerr
@@ -400,73 +381,4 @@ func runTracedClusterRequest(rate float64) error {
 	}
 	fmt.Printf("\ntraced cluster request %s (%d spans):\n", tc.Trace, len(recs))
 	return trace.WriteText(os.Stdout, recs)
-}
-
-// mergeClusterReport writes the cluster section into the report at path,
-// preserving every other section a regular chambench run put there; a
-// missing file starts a fresh report.
-func mergeClusterReport(path string, cr *clusterResult) error {
-	doc := map[string]json.RawMessage{}
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &doc); err != nil {
-			return fmt.Errorf("parsing existing report %s: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	section, err := json.Marshal(cr)
-	if err != nil {
-		return err
-	}
-	doc["cluster"] = section
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	out = append(out, '\n')
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote cluster section into %s\n", path)
-	return nil
-}
-
-// readClusterBaseline pulls the cluster section out of a committed
-// report; a baseline without one is not an error (first run).
-func readClusterBaseline(path string) (*clusterResult, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("reading baseline: %w", err)
-	}
-	var base struct {
-		Cluster *clusterResult `json:"cluster"`
-	}
-	if err := json.Unmarshal(data, &base); err != nil {
-		return nil, fmt.Errorf("parsing baseline %s: %w", path, err)
-	}
-	return base.Cluster, nil
-}
-
-// maxClusterRegression allows the 2-shard speedup to drift 25% under the
-// committed baseline before bench-diff fails — wall-clock fleet runs
-// jitter more than the single-process warm loops, and the absolute
-// clusterSpeedupFloor inside runCluster always applies regardless.
-const maxClusterRegression = 1.25
-
-// compareCluster gates the cluster rows against a committed baseline: the
-// floor always applies (enforced in runCluster), and the 2-shard speedup
-// must stay within 25% of the baseline's when one is recorded.
-func compareCluster(baseline *clusterResult, cur *clusterResult) error {
-	if baseline == nil {
-		fmt.Println("cluster bench-diff: baseline has no cluster section; floor check only")
-		return nil
-	}
-	allowed := baseline.Speedup2Shard / maxClusterRegression
-	fmt.Printf("cluster bench-diff: 2-shard speedup %.2fx (baseline %.2fx, floor %.2fx)\n",
-		cur.Speedup2Shard, baseline.Speedup2Shard, allowed)
-	if cur.Speedup2Shard < allowed {
-		return fmt.Errorf("2-shard speedup %.2fx regressed >25%% from baseline %.2fx",
-			cur.Speedup2Shard, baseline.Speedup2Shard)
-	}
-	return nil
 }

@@ -1,11 +1,16 @@
-// Command chambench measures this repository's software HMVP hot path and
-// emits machine-readable results for tracking. For each configuration it
-// times the per-call MatVec (which redoes the row encode/lift/NTT every
-// call) against the prepared-matrix path (Prepare once, ApplyInto per
-// vector, allocation-free after warm-up) and records ns/op, allocs/op,
-// bytes/op, rows/s, and the warm-over-cold speedup in BENCH_hmvp.json.
+// Command chambench measures this repository's software HMVP stack into
+// the ledger BENCH_hmvp.json, one top-level section per measurement:
 //
-// The 256×4096 matrix is measured at two ring degrees. At the production
+//	chambench [-compare FILE] [warm] [cluster] [np] [remote]
+//
+// A run replaces only the sections it names (warm by default) and leaves
+// every other section's bytes as they were; with -compare it writes
+// nothing and gates the sections against FILE instead (gate.go).
+//
+// warm times the per-call MatVec (which redoes the row encode/lift/NTT
+// every call) against the prepared path (Prepare once, ApplyInto per
+// vector, allocation-free after warm-up) and the packing tree alone. The
+// 256×4096 matrix is measured at two ring degrees. At the production
 // degree N=4096 the whole vector fits one ciphertext chunk, so the
 // m-1 = 255 key-switches of the packing tree — per-vector work no amount
 // of matrix preparation can remove — dominate both paths. At N=512 the
@@ -14,7 +19,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -24,7 +28,86 @@ import (
 	"cham"
 	"cham/internal/obs"
 	_ "cham/internal/runtime" // RAS metric families appear (at zero) in the snapshot
+	"cham/internal/testutil"
 )
+
+var (
+	outPath     = flag.String("o", "BENCH_hmvp.json", "report to merge the measured sections into")
+	compare     = flag.String("compare", "", "baseline report to gate the measured sections against (make bench-diff); writes no report")
+	workers     = flag.Int("workers", 0, "evaluator worker goroutines for warm and np (0 = GOMAXPROCS)")
+	remote      = flag.String("remote", "self", `remote target: "self" spins up loopback servers in-process, host:port a running chamserve`)
+	remoteN     = flag.Int("remote-n", 256, "ring degree for remote (must match an external server)")
+	traceSample = flag.Float64("trace-sample", 0, "with cluster: afterwards, send one sampled apply through a gateway-fronted 2-shard fleet and print the merged trace")
+)
+
+// runs measures each section named on the command line into a report.
+var runs = map[string]func(report) error{
+	"warm":    runWarm,
+	"cluster": runCluster,
+	"np":      runNp,
+	"remote":  runRemote,
+}
+
+func main() {
+	flag.Usage = func() {
+		fmt.Fprintln(flag.CommandLine.Output(), "usage: chambench [flags] [warm] [cluster] [np] [remote]")
+		flag.PrintDefaults()
+	}
+	flag.Parse()
+	if err := run(flag.Args()); err != nil {
+		fmt.Fprintln(os.Stderr, "chambench:", err)
+		os.Exit(1)
+	}
+}
+
+// run measures the sections, then gates them against -compare or merges
+// them into -o.
+func run(sections []string) error {
+	if len(sections) == 0 {
+		sections = []string{"warm"}
+	}
+	for _, s := range sections {
+		if runs[s] == nil {
+			return fmt.Errorf("unknown section %q (want warm, cluster, np or remote)", s)
+		}
+	}
+	var base report // nil: no baseline, only the floors apply
+	if *compare != "" {
+		var err error
+		if base, err = loadReport(*compare); err != nil {
+			return err
+		}
+		if len(base) == 0 {
+			return fmt.Errorf("baseline %s is missing or empty", *compare)
+		}
+		fmt.Printf("gating %s against %s\n", strings.Join(sections, ", "), *compare)
+	}
+	measured := report{}
+	for _, s := range sections {
+		if err := runs[s](measured); err != nil {
+			return err
+		}
+	}
+	failures, err := gate(os.Stdout, base, measured)
+	if err != nil {
+		return err
+	}
+	for _, f := range failures {
+		fmt.Fprintln(os.Stderr, "chambench: FAIL:", f)
+	}
+	if len(failures) > 0 {
+		return fmt.Errorf("%d gate failure(s)", len(failures))
+	}
+	if *compare != "" {
+		fmt.Println("bench-diff clean")
+		return nil
+	}
+	if err := saveReport(*outPath, measured); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %s into %s\n", strings.Join(sections, ", "), *outPath)
+	return nil
+}
 
 type result struct {
 	Name       string  `json:"name"`
@@ -35,21 +118,6 @@ type result struct {
 	AllocsOp   int64   `json:"allocs_per_op"`
 	BytesOp    int64   `json:"bytes_per_op"`
 	RowsPerSec float64 `json:"rows_per_sec"`
-}
-
-type report struct {
-	Benchmarks []result           `json:"benchmarks,omitempty"`
-	Speedups   map[string]float64 `json:"prepared_apply_speedup,omitempty"`
-	// Remote holds the serving-tier numbers when -remote is set.
-	Remote *remoteResult `json:"remote,omitempty"`
-	// Cluster holds the sharded-tier numbers when -cluster is set.
-	Cluster *clusterResult `json:"cluster,omitempty"`
-	// Np holds the encrypted-array-tier numbers when -np is set.
-	Np *npResult `json:"np,omitempty"`
-	// Telemetry is the obs registry snapshot from one instrumented apply
-	// per shape, run after the timed benchmarks (which execute with
-	// telemetry off so the numbers stay undisturbed).
-	Telemetry []obs.MetricSnapshot `json:"telemetry"`
 }
 
 // bench runs f under the testing harness and converts the outcome.
@@ -82,17 +150,8 @@ func runShape(ringN, m, cols int, workers int) ([]result, float64, error) {
 		return nil, 0, err
 	}
 	ev.Workers = workers
-	A := make([][]uint64, m)
-	for i := range A {
-		A[i] = make([]uint64, cols)
-		for j := range A[i] {
-			A[i][j] = rng.Uint64() % params.T.Q
-		}
-	}
-	v := make([]uint64, cols)
-	for j := range v {
-		v[j] = rng.Uint64() % params.T.Q
-	}
+	A := testutil.Matrix(rng, m, cols, params.T.Q)
+	v := testutil.Vector(rng, cols, params.T.Q)
 	ctV := cham.EncryptVector(params, rng, sk, v)
 
 	// Correctness gate before timing anything.
@@ -152,238 +211,65 @@ func runShape(ringN, m, cols int, workers int) ([]result, float64, error) {
 	// correctness-gate Prepare above runs before telemetry is switched
 	// on), and Apply the prepared path's end-to-end view.
 	obs.SetEnabled(true)
-	_, errMV := ev.MatVec(A, ctV)
-	pmObs, errPrep := ev.Prepare(A)
-	var errAp error
-	if errPrep == nil {
-		_, errAp = pmObs.Apply(ctV)
-	}
-	obs.SetEnabled(false)
-	if errMV != nil {
-		return nil, 0, errMV
-	}
-	if errPrep != nil {
-		return nil, 0, errPrep
-	}
-	if errAp != nil {
-		return nil, 0, errAp
+	err = func() error {
+		defer obs.SetEnabled(false)
+		if _, err := ev.MatVec(A, ctV); err != nil {
+			return err
+		}
+		pm, err := ev.Prepare(A)
+		if err != nil {
+			return err
+		}
+		_, err = pm.Apply(ctV)
+		return err
+	}()
+	if err != nil {
+		return nil, 0, err
 	}
 	return []result{matvec, cold, warm}, matvec.NsPerOp / warm.NsPerOp, nil
 }
 
-func main() {
-	out := flag.String("o", "BENCH_hmvp.json", "output path for the JSON report")
-	compare := flag.String("compare", "", "baseline report to diff against: re-run the shapes, exit nonzero if warm ns_per_op regresses >10% or warm allocs_per_op leaves 0; writes no report")
-	workers := flag.Int("workers", 0, "evaluator worker goroutines (0 = GOMAXPROCS)")
-	clusterMode := flag.Bool("cluster", false, "benchmark the sharded tier instead: in-process fleets of 1/2/4 shard nodes, aggregate rows/s, and p99 under 1000 simulated clients; fails if 2 shards clear <1.6x over 1")
-	npMode := flag.Bool("np", false, "benchmark the chamnp array tier instead: warm batched MatMul rows/s at single- and multi-chunk shapes plus per-layer inference latency; with -compare, fails if warm MatMul allocates or regresses >10%")
-	remote := flag.String("remote", "", `benchmark the serving tier instead: "self" spins up loopback servers in-process, host:port targets a running chamserve`)
-	remoteN := flag.Int("remote-n", 256, "ring degree for -remote mode (must match an external server)")
-	clients := flag.Int("clients", 64, "concurrent clients for the -remote throughput measurement")
-	traceSample := flag.Float64("trace-sample", 0, "with -cluster: after the benchmark, send one sampled apply through a gateway-fronted 2-shard fleet and print the merged trace")
-	flag.Parse()
-
-	if *clusterMode {
-		cr, err := runCluster()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "chambench:", err)
-			os.Exit(1)
-		}
-		if *compare != "" {
-			base, err := readClusterBaseline(*compare)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "chambench:", err)
-				os.Exit(1)
-			}
-			if err := compareCluster(base, cr); err != nil {
-				fmt.Fprintln(os.Stderr, "chambench:", err)
-				os.Exit(1)
-			}
-			return
-		}
-		// Merge into the existing report rather than clobbering the warm-path
-		// benchmark rows the regular run committed there.
-		if err := mergeClusterReport(*out, cr); err != nil {
-			fmt.Fprintln(os.Stderr, "chambench:", err)
-			os.Exit(1)
-		}
-		if *traceSample > 0 {
-			if err := runTracedClusterRequest(*traceSample); err != nil {
-				fmt.Fprintln(os.Stderr, "chambench:", err)
-				os.Exit(1)
-			}
-		}
-		return
-	}
-
-	if *npMode {
-		nr, err := runNp(*workers)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "chambench:", err)
-			os.Exit(1)
-		}
-		if *compare != "" {
-			base, err := readNpBaseline(*compare)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "chambench:", err)
-				os.Exit(1)
-			}
-			if err := compareNp(base, nr); err != nil {
-				fmt.Fprintln(os.Stderr, "chambench:", err)
-				os.Exit(1)
-			}
-			return
-		}
-		// Merge, as -cluster does: keep the warm-path rows and any other
-		// sections the regular runs committed to the report.
-		if err := mergeNpReport(*out, nr); err != nil {
-			fmt.Fprintln(os.Stderr, "chambench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *remote != "" {
-		rr, err := runRemote(*remote, *remoteN, *clients)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "chambench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("in-process warm apply:  %12.0f ns/op\n", rr.InprocNsPerOp)
-		fmt.Printf("remote RPC apply:       %12.0f ns/op  (overhead %.0f ns, %.1f%%)\n",
-			rr.RPCNsPerOp, rr.RPCOverheadNs, 100*rr.RPCOverheadNs/rr.InprocNsPerOp)
-		fmt.Printf("batched throughput:     %12.0f req/s  (%d clients)\n", rr.BatchedReqPerSec, rr.Clients)
-		if rr.Batch1ReqPerSec > 0 {
-			fmt.Printf("batch-1 throughput:     %12.0f req/s\n", rr.Batch1ReqPerSec)
-			fmt.Printf("coalescing speedup:     %12.2fx\n", rr.CoalescingSpeedup)
-		}
-		rep := report{Remote: rr, Telemetry: obs.Default().Snapshot()}
-		writeReport(*out, rep)
-		return
-	}
-
+// runWarm measures the warm section: the prepared-apply shapes and the
+// packing tree in isolation — full-tree warm rows at the production and
+// test degrees, per-level merge breakdown at the production degree —
+// plus the telemetry snapshot of one instrumented apply per shape.
+func runWarm(rep report) error {
 	const m, cols = 256, 4096
-	rep := report{Speedups: map[string]float64{}}
+	var rows []result
+	speedups := map[string]float64{}
 	for _, ringN := range []int{4096, 512, 256} {
 		results, speedup, err := runShape(ringN, m, cols, *workers)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "chambench:", err)
-			os.Exit(1)
+			return err
 		}
-		rep.Benchmarks = append(rep.Benchmarks, results...)
-		rep.Speedups[fmt.Sprintf("N=%d", ringN)] = speedup
+		rows = append(rows, results...)
+		speedups[fmt.Sprintf("N=%d", ringN)] = speedup
 		for _, r := range results {
 			fmt.Printf("%-22s %12.0f ns/op %8d allocs/op %10.0f rows/s\n",
 				r.Name, r.NsPerOp, r.AllocsOp, r.RowsPerSec)
 		}
 		fmt.Printf("  warm Apply speedup over MatVec at N=%d: %.2fx\n", ringN, speedup)
 	}
-	// Packing tree in isolation: full-tree warm rows at both the test and
-	// production degrees (gated by -compare), per-level merge breakdown at
-	// the production degree.
 	for _, pc := range []struct {
 		n        int
 		perLevel bool
 	}{{4096, true}, {256, false}} {
 		results, err := runPack(pc.n, m, pc.perLevel)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "chambench:", err)
-			os.Exit(1)
+			return err
 		}
-		rep.Benchmarks = append(rep.Benchmarks, results...)
+		rows = append(rows, results...)
 		for _, r := range results {
 			fmt.Printf("%-22s %12.0f ns/op %8d allocs/op\n", r.Name, r.NsPerOp, r.AllocsOp)
 		}
 	}
-	if *compare != "" {
-		if err := compareBaseline(*compare, rep.Benchmarks); err != nil {
-			fmt.Fprintln(os.Stderr, "chambench:", err)
-			os.Exit(1)
-		}
-		return
+	if err := rep.set("benchmarks", rows); err != nil {
+		return err
 	}
-	rep.Telemetry = obs.Default().Snapshot()
-	fmt.Println("\ntelemetry (one instrumented apply per shape):")
-	obs.Default().WriteTo(os.Stdout)
-	writeReport(*out, rep)
-}
-
-// maxWarmRegression is the warm ns/op ratio over baseline beyond which
-// `chambench -compare` (make bench-diff) fails the build.
-const maxWarmRegression = 1.10
-
-// compareBaseline diffs the freshly measured warm-path results against a
-// committed baseline report. It fails (nonzero exit upstream) if any
-// shape's warm ns_per_op — a prepared apply or an isolated pack tree —
-// regresses more than 10% over the baseline, or if any warm op allocates
-// at all — the two invariants BENCH_hmvp.json exists to pin.
-func compareBaseline(path string, cur []result) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("reading baseline: %w", err)
+	if err := rep.set("prepared_apply_speedup", speedups); err != nil {
+		return err
 	}
-	// Only the benchmark rows matter for the gate; the telemetry section
-	// round-trips through Prometheus conventions (string "le" labels) that
-	// the snapshot type does not unmarshal, so skip it.
-	var base struct {
-		Benchmarks []result `json:"benchmarks"`
-	}
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("parsing baseline %s: %w", path, err)
-	}
-	baseByName := make(map[string]result, len(base.Benchmarks))
-	for _, r := range base.Benchmarks {
-		baseByName[r.Name] = r
-	}
-	fmt.Printf("\ncomparing against %s:\n", path)
-	var failures []string
-	checked := 0
-	for _, r := range cur {
-		b, ok := baseByName[r.Name]
-		if !ok || b.NsPerOp <= 0 {
-			continue
-		}
-		ratio := r.NsPerOp / b.NsPerOp
-		status := "ok"
-		if strings.HasPrefix(r.Name, "Prepared/warm") || strings.HasPrefix(r.Name, "Pack/warm") {
-			checked++
-			if ratio > maxWarmRegression {
-				status = "REGRESSION"
-				failures = append(failures, fmt.Sprintf("%s: %.0f -> %.0f ns/op (%.2fx > %.2fx budget)",
-					r.Name, b.NsPerOp, r.NsPerOp, ratio, maxWarmRegression))
-			}
-			if r.AllocsOp != 0 {
-				status = "ALLOCS"
-				failures = append(failures, fmt.Sprintf("%s: %d allocs/op, want 0 (warm path must stay allocation-free)",
-					r.Name, r.AllocsOp))
-			}
-		}
-		fmt.Printf("  %-22s %12.0f -> %12.0f ns/op  (%.3fx)  %s\n", r.Name, b.NsPerOp, r.NsPerOp, ratio, status)
-	}
-	if checked == 0 {
-		return fmt.Errorf("baseline %s has no Prepared/warm entries to gate on", path)
-	}
-	if len(failures) > 0 {
-		for _, f := range failures {
-			fmt.Fprintln(os.Stderr, "chambench: FAIL:", f)
-		}
-		return fmt.Errorf("%d warm-path regression(s) against %s", len(failures), path)
-	}
-	fmt.Printf("bench-diff clean: %d warm shapes within %.0f%% of baseline, 0 allocs/op\n",
-		checked, 100*(maxWarmRegression-1))
-	return nil
-}
-
-func writeReport(path string, rep report) {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "chambench:", err)
-		os.Exit(1)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "chambench:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("wrote %s\n", path)
+	// The timed benchmarks run with telemetry off so the numbers stay
+	// undisturbed; the snapshot holds runShape's instrumented passes.
+	return rep.set("telemetry", obs.Default().Snapshot())
 }

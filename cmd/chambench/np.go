@@ -1,24 +1,22 @@
 package main
 
-// chambench -np: the encrypted-array tier's numbers. Measures the warm
+// chambench np: the encrypted-array tier's numbers. Measures the warm
 // MatMulInto hot path (one PreparedMatrix driving a whole batch of
 // column blocks, allocation-free after warm-up) at the single-chunk and
 // multi-chunk regimes, plus the per-layer latency of the two-layer
-// chamnp inference pipeline. Results merge into BENCH_hmvp.json under
-// "np" and are gated by `chambench -np -compare` (make bench-diff):
-// warm MatMul allocs must stay 0 and ns/op within 10% of the baseline.
+// chamnp inference pipeline. Results land in BENCH_hmvp.json under "np"
+// and are gated by `chambench -compare` (make bench-diff): warm MatMul
+// allocs must stay 0 and ns/op within 10% of the baseline.
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"strings"
 	"testing"
 	"time"
 
 	"cham"
 	"cham/internal/chamnp"
 	"cham/internal/ref"
+	"cham/internal/testutil"
 )
 
 type npLayer struct {
@@ -52,20 +50,8 @@ func runNpShape(ringN, rows, cols, batch, workers int) (result, error) {
 		return result{}, err
 	}
 	ev.Workers = workers
-	W := make([][]uint64, rows)
-	for i := range W {
-		W[i] = make([]uint64, cols)
-		for j := range W[i] {
-			W[i][j] = rng.Uint64() % params.T.Q
-		}
-	}
-	X := make([][]uint64, cols)
-	for i := range X {
-		X[i] = make([]uint64, batch)
-		for j := range X[i] {
-			X[i][j] = rng.Uint64() % params.T.Q
-		}
-	}
+	W := testutil.Matrix(rng, rows, cols, params.T.Q)
+	X := testutil.Matrix(rng, cols, batch, params.T.Q)
 	pm, err := ev.Prepare(W)
 	if err != nil {
 		return result{}, err
@@ -109,49 +95,39 @@ func runNpShape(ringN, rows, cols, batch, workers int) (result, error) {
 // runNpInference times each layer of the two-layer pipeline (best of
 // npInferenceRuns passes — layer latencies jitter, the best run is the
 // reproducible one).
-func runNpInference(workers int) ([]npLayer, float64, error) {
+func runNpInference(workers int) ([]npLayer, error) {
 	const ringN, hidden, classes, batch = 256, 16, 10, 3
 	params, err := cham.NewParams(ringN)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	rng := cham.NewRNG(211)
 	sk := params.KeyGen(rng)
 	ev, err := cham.NewEvaluator(params, rng, sk, params.R.N)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	ev.Workers = workers
-	randMat := func(m, n int) [][]uint64 {
-		out := make([][]uint64, m)
-		for i := range out {
-			out[i] = make([]uint64, n)
-			for j := range out[i] {
-				out[i][j] = rng.Uint64() % params.T.Q
-			}
-		}
-		return out
-	}
-	W1, W2 := randMat(hidden, ringN), randMat(classes, hidden)
+	W1 := testutil.Matrix(rng, hidden, ringN, params.T.Q)
+	W2 := testutil.Matrix(rng, classes, hidden, params.T.Q)
 	b1 := make([]uint64, hidden)
 	b2 := make([]uint64, classes)
-	X := randMat(ringN, batch)
+	X := testutil.Matrix(rng, ringN, batch, params.T.Q)
 	pm1, err := ev.Prepare(W1)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	pm2, err := ev.Prepare(W2)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 
-	names := []string{"matmul1", "bias1", "square_recrypt", "matmul2", "bias2"}
-	best := make([]float64, len(names))
+	layers := []npLayer{{Name: "matmul1"}, {Name: "bias1"}, {Name: "square_recrypt"}, {Name: "matmul2"}, {Name: "bias2"}}
 	const npInferenceRuns = 5
 	for run := 0; run < npInferenceRuns; run++ {
 		x, err := chamnp.Array(params, rng, sk, X, chamnp.ColMajor)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		steps := []func(h *chamnp.EncMatrix) (*chamnp.EncMatrix, error){
 			func(*chamnp.EncMatrix) (*chamnp.EncMatrix, error) { return chamnp.MatMul(chamnp.Local(pm1), x) },
@@ -164,134 +140,41 @@ func runNpInference(workers int) ([]npLayer, float64, error) {
 		for i, step := range steps {
 			t0 := time.Now()
 			if h, err = step(h); err != nil {
-				return nil, 0, fmt.Errorf("inference %s: %w", names[i], err)
+				return nil, fmt.Errorf("inference %s: %w", layers[i].Name, err)
 			}
 			ms := float64(time.Since(t0)) / float64(time.Millisecond)
-			if run == 0 || ms < best[i] {
-				best[i] = ms
+			if run == 0 || ms < layers[i].Millis {
+				layers[i].Millis = ms
 			}
 		}
 	}
-	layers := make([]npLayer, len(names))
-	total := 0.0
-	for i, name := range names {
-		layers[i] = npLayer{Name: name, Millis: best[i]}
-		total += best[i]
-	}
-	return layers, total, nil
+	return layers, nil
 }
 
-func runNp(workers int) (*npResult, error) {
+// runNp measures the np section.
+func runNp(rep report) error {
 	nr := &npResult{}
 	for _, sh := range []struct{ n, rows, cols, batch int }{
-		{256, 64, 256, 8},  // single chunk per lane, 8 column blocks
+		{256, 64, 256, 8},   // single chunk per lane, 8 column blocks
 		{512, 128, 1024, 4}, // multi-chunk: 2 vector ciphertexts per lane
 	} {
-		r, err := runNpShape(sh.n, sh.rows, sh.cols, sh.batch, workers)
+		r, err := runNpShape(sh.n, sh.rows, sh.cols, sh.batch, *workers)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		nr.MatMul = append(nr.MatMul, r)
 		fmt.Printf("%-22s %12.0f ns/op %8d allocs/op %10.0f rows/s  (batch %d)\n",
 			r.Name, r.NsPerOp, r.AllocsOp, r.RowsPerSec, sh.batch)
 	}
-	layers, total, err := runNpInference(workers)
+	layers, err := runNpInference(*workers)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	nr.InferenceLayers, nr.InferenceMillis = layers, total
+	nr.InferenceLayers = layers
 	for _, l := range layers {
+		nr.InferenceMillis += l.Millis
 		fmt.Printf("  inference %-16s %8.3f ms\n", l.Name, l.Millis)
 	}
-	fmt.Printf("  inference total         %8.3f ms\n", total)
-	return nr, nil
-}
-
-// mergeNpReport writes the np section into the report at path,
-// preserving every other section (cluster.go's merge pattern).
-func mergeNpReport(path string, nr *npResult) error {
-	doc := map[string]json.RawMessage{}
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &doc); err != nil {
-			return fmt.Errorf("parsing existing report %s: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	section, err := json.Marshal(nr)
-	if err != nil {
-		return err
-	}
-	doc["np"] = section
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	out = append(out, '\n')
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote np section into %s\n", path)
-	return nil
-}
-
-// readNpBaseline pulls the np section out of a committed report; a
-// baseline without one is not an error (first run).
-func readNpBaseline(path string) (*npResult, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("reading baseline: %w", err)
-	}
-	var base struct {
-		Np *npResult `json:"np"`
-	}
-	if err := json.Unmarshal(data, &base); err != nil {
-		return nil, fmt.Errorf("parsing baseline %s: %w", path, err)
-	}
-	return base.Np, nil
-}
-
-// compareNp gates the warm array-tier matmul against a committed
-// baseline: allocs/op must be 0 unconditionally, and ns/op must stay
-// within maxWarmRegression of the baseline row when one exists.
-func compareNp(baseline, cur *npResult) error {
-	baseByName := map[string]result{}
-	if baseline != nil {
-		for _, r := range baseline.MatMul {
-			baseByName[r.Name] = r
-		}
-	} else {
-		fmt.Println("np bench-diff: baseline has no np section; alloc check only")
-	}
-	var failures []string
-	for _, r := range cur.MatMul {
-		if !strings.HasPrefix(r.Name, "NpMatMul/warm") {
-			continue
-		}
-		if r.AllocsOp != 0 {
-			failures = append(failures, fmt.Sprintf("%s: %d allocs/op, want 0 (warm matmul must stay allocation-free)",
-				r.Name, r.AllocsOp))
-		}
-		b, ok := baseByName[r.Name]
-		if !ok || b.NsPerOp <= 0 {
-			fmt.Printf("  %-22s %12.0f ns/op  (no baseline row)\n", r.Name, r.NsPerOp)
-			continue
-		}
-		ratio := r.NsPerOp / b.NsPerOp
-		status := "ok"
-		if ratio > maxWarmRegression {
-			status = "REGRESSION"
-			failures = append(failures, fmt.Sprintf("%s: %.0f -> %.0f ns/op (%.2fx > %.2fx budget)",
-				r.Name, b.NsPerOp, r.NsPerOp, ratio, maxWarmRegression))
-		}
-		fmt.Printf("  %-22s %12.0f -> %12.0f ns/op  (%.3fx)  %s\n", r.Name, b.NsPerOp, r.NsPerOp, ratio, status)
-	}
-	if len(failures) > 0 {
-		for _, f := range failures {
-			fmt.Fprintln(os.Stderr, "chambench: FAIL:", f)
-		}
-		return fmt.Errorf("%d np warm-path failure(s)", len(failures))
-	}
-	fmt.Println("np bench-diff clean: warm matmul allocation-free and within budget")
-	return nil
+	fmt.Printf("  inference total         %8.3f ms\n", nr.InferenceMillis)
+	return rep.set("np", nr)
 }

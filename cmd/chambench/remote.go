@@ -1,32 +1,35 @@
 package main
 
-// Remote mode: measure the serving tier instead of the in-process hot
-// path. Reports the RPC tax (remote single-client apply vs warm in-process
-// ApplyInto over the same keys and matrix) and the batched throughput
-// under concurrent clients. With -remote self, two loopback servers are
-// started in-process — one with coalescing enabled, one pinned to batch
-// size 1 — so the batching win is measured directly; with -remote
-// host:port an external chamserve is benchmarked as-is.
+// The remote section: measure the serving tier instead of the in-process
+// hot path. Reports the RPC tax (remote single-client apply vs warm
+// in-process ApplyInto over the same keys and matrix) and the batched
+// throughput under concurrent clients. With -remote self (the default),
+// two loopback servers are started in-process — one with coalescing
+// enabled, one pinned to batch size 1 — so the batching win is measured
+// directly; with -remote host:port an external chamserve is benchmarked
+// as-is.
 
 import (
 	"fmt"
-	"math/rand"
 	"net"
-	"sync"
 	"testing"
 	"time"
 
 	"cham/internal/bfv"
 	"cham/internal/client"
 	"cham/internal/core"
-	"cham/internal/lwe"
 	"cham/internal/rlwe"
 	rt "cham/internal/runtime"
 	"cham/internal/server"
+	"cham/internal/testutil"
 	"cham/internal/wire"
 )
 
-// remoteResult is the -remote section of BENCH_hmvp.json.
+// remoteClients is the number of concurrent clients driving the batched
+// throughput measurement.
+const remoteClients = 64
+
+// remoteResult is the remote section of BENCH_hmvp.json.
 type remoteResult struct {
 	Target            string  `json:"target"`
 	RingDegree        int     `json:"ring_degree"`
@@ -69,175 +72,129 @@ func loopbackServer(p bfv.Params, maxBatch int) (string, func(), error) {
 	return ln.Addr().String(), func() { ln.Close() }, nil
 }
 
-// dialRemote connects a client and installs keys + matrix.
-func dialRemote(addr string, p bfv.Params, keys *lwe.PackingKeys, A [][]uint64) (*client.Client, wire.MatrixHandle, error) {
-	cl, err := client.Dial(client.Config{Addr: addr, Params: p, MaxConns: 128})
-	if err != nil {
-		return nil, wire.MatrixHandle{}, err
+// dialRemote connects a client to addrSpec — for "self", a fresh
+// loopback server coalescing up to maxBatch requests — and installs the
+// fixture's keys and matrix. stop closes the client and any server.
+func dialRemote(addrSpec string, maxBatch int, f *fixture) (cl *client.Client, h wire.MatrixHandle, stop func(), err error) {
+	addr, stopServer := addrSpec, func() {}
+	if addrSpec == "self" {
+		if addr, stopServer, err = loopbackServer(f.p, maxBatch); err != nil {
+			return nil, h, nil, err
+		}
 	}
-	if _, err := cl.SetupKeys(keys); err != nil {
+	if cl, err = client.Dial(client.Config{Addr: addr, Params: f.p, MaxConns: 128}); err != nil {
+		stopServer()
+		return nil, h, nil, err
+	}
+	stop = func() {
 		cl.Close()
-		return nil, wire.MatrixHandle{}, fmt.Errorf("setup keys: %w", err)
+		stopServer()
 	}
-	h, err := cl.RegisterMatrix(A)
-	if err != nil {
-		cl.Close()
-		return nil, wire.MatrixHandle{}, fmt.Errorf("register: %w", err)
+	if _, err = cl.SetupKeys(f.keys); err != nil {
+		stop()
+		return nil, h, nil, fmt.Errorf("setup keys: %w", err)
 	}
-	return cl, h, nil
+	if h, err = cl.RegisterMatrix(f.A); err != nil {
+		stop()
+		return nil, h, nil, fmt.Errorf("register: %w", err)
+	}
+	return cl, h, stop, nil
 }
 
-// throughput drives `clients` concurrent goroutines, `perClient` applies
-// each, and returns requests per second.
-func throughput(cl *client.Client, h wire.MatrixHandle, vecs [][]*rlwe.Ciphertext, clients, perClient int) (float64, error) {
-	var wg sync.WaitGroup
-	errs := make(chan error, clients)
-	t0 := time.Now()
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			ctV := vecs[c%len(vecs)]
-			for i := 0; i < perClient; i++ {
-				if _, err := cl.Apply(h.ID, ctV); err != nil {
-					errs <- err
-					return
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	elapsed := time.Since(t0)
-	close(errs)
-	for err := range errs {
+// throughput drives remoteClients closed-loop clients through cl, each
+// cycling over vecs, and returns requests per second.
+func throughput(cl *client.Client, h wire.MatrixHandle, vecs [][]*rlwe.Ciphertext) (float64, error) {
+	const perClient = 8
+	_, makespan, err := volley(remoteClients, perClient, func(c int) error {
+		_, err := cl.Apply(h.ID, vecs[c%len(vecs)])
+		return err
+	})
+	if err != nil {
 		return 0, err
 	}
-	return float64(clients*perClient) / elapsed.Seconds(), nil
+	return float64(remoteClients*perClient) / makespan.Seconds(), nil
 }
 
-// runRemote executes the remote benchmark against addrSpec ("self" or a
-// host:port of a running chamserve with matching ring degree).
-func runRemote(addrSpec string, ringN, clients int) (*remoteResult, error) {
-	p, err := bfv.NewChamParams(ringN)
+// runRemote measures the remote section against the -remote target
+// ("self" or the host:port of a running chamserve with a matching ring
+// degree).
+func runRemote(rep report) error {
+	addrSpec, ringN := *remote, *remoteN
+	m := min(64, ringN)
+	f, err := newFixture(ringN, m, ringN)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	rng := rand.New(rand.NewSource(99))
-	sk := p.KeyGen(rng)
-	keys, err := lwe.GenPackingKeys(p, rng, sk, p.R.N)
-	if err != nil {
-		return nil, err
-	}
-	m, cols := 64, ringN
-	if m > ringN {
-		m = ringN
-	}
-	A := make([][]uint64, m)
-	for i := range A {
-		A[i] = make([]uint64, cols)
-		for j := range A[i] {
-			A[i][j] = rng.Uint64() % p.T.Q
-		}
-	}
-	v := make([]uint64, cols)
-	for j := range v {
-		v[j] = rng.Uint64() % p.T.Q
-	}
-	ctV := core.EncryptVector(p, rng, sk, v)
-
-	// In-process baseline over the identical key set and matrix.
-	ev, err := core.NewEvaluatorFromKeys(p, keys)
-	if err != nil {
-		return nil, err
-	}
-	pm, err := ev.Prepare(A)
-	if err != nil {
-		return nil, err
-	}
-	out := pm.NewResult()
-	if err := pm.ApplyInto(out, ctV); err != nil {
-		return nil, err
-	}
-	inproc := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if err := pm.ApplyInto(out, ctV); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	inprocNs := float64(inproc.T.Nanoseconds()) / float64(inproc.N)
+	pm, ctV := f.pm, f.ctV
 
 	res := &remoteResult{
 		Target:     addrSpec,
 		RingDegree: ringN,
 		Rows:       m,
-		Cols:       cols,
-		Clients:    clients,
+		Cols:       ringN,
+		Clients:    remoteClients,
 	}
-	res.InprocNsPerOp = inprocNs
-
-	addr := addrSpec
-	var closeBatched func()
-	if addrSpec == "self" {
-		addr, closeBatched, err = loopbackServer(p, 16)
-		if err != nil {
-			return nil, err
+	// In-process baseline over the identical key set and matrix (the
+	// fixture's reference apply already warmed the evaluator).
+	out := pm.NewResult()
+	res.InprocNsPerOp = bench("", ringN, m, ringN, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := pm.ApplyInto(out, ctV); err != nil {
+				b.Fatal(err)
+			}
 		}
-		defer closeBatched()
-	}
-	cl, h, err := dialRemote(addr, p, keys, A)
+	}).NsPerOp
+
+	cl, h, stop, err := dialRemote(addrSpec, 16, f)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	defer cl.Close()
+	defer stop()
 
 	// Single-client RPC latency: the pure serving tax (framing, TCP,
 	// decode, queue) on top of the same ApplyInto.
-	rpc := testing.Benchmark(func(b *testing.B) {
+	res.RPCNsPerOp = bench("", ringN, m, ringN, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := cl.Apply(h.ID, ctV); err != nil {
 				b.Fatal(err)
 			}
 		}
-	})
-	res.RPCNsPerOp = float64(rpc.T.Nanoseconds()) / float64(rpc.N)
-	res.RPCOverheadNs = res.RPCNsPerOp - inprocNs
+	}).NsPerOp
+	res.RPCOverheadNs = res.RPCNsPerOp - res.InprocNsPerOp
 
 	// Batched throughput under concurrent clients. Each goroutine reuses
 	// one of a handful of pre-encrypted vectors (encryption is client-side
 	// work and not what is being measured).
 	vecs := [][]*rlwe.Ciphertext{ctV}
 	for i := 0; i < 3; i++ {
-		w := make([]uint64, cols)
-		for j := range w {
-			w[j] = rng.Uint64() % p.T.Q
-		}
-		vecs = append(vecs, core.EncryptVector(p, rng, sk, w))
+		vecs = append(vecs, core.EncryptVector(f.p, f.rng, f.sk, testutil.Vector(f.rng, ringN, f.p.T.Q)))
 	}
-	const perClient = 8
-	res.BatchedReqPerSec, err = throughput(cl, h, vecs, clients, perClient)
+	res.BatchedReqPerSec, err = throughput(cl, h, vecs)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	if addrSpec == "self" {
 		// Same fleet against a server pinned to batch size 1: every request
 		// pays the full per-job card dispatch on its own.
-		addr1, close1, err := loopbackServer(p, 1)
+		cl1, h1, stop1, err := dialRemote(addrSpec, 1, f)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		defer close1()
-		cl1, h1, err := dialRemote(addr1, p, keys, A)
+		defer stop1()
+		res.Batch1ReqPerSec, err = throughput(cl1, h1, vecs)
 		if err != nil {
-			return nil, err
-		}
-		defer cl1.Close()
-		res.Batch1ReqPerSec, err = throughput(cl1, h1, vecs, clients, perClient)
-		if err != nil {
-			return nil, err
+			return err
 		}
 		res.CoalescingSpeedup = res.BatchedReqPerSec / res.Batch1ReqPerSec
 	}
-	return res, nil
+	fmt.Printf("in-process warm apply:  %12.0f ns/op\n", res.InprocNsPerOp)
+	fmt.Printf("remote RPC apply:       %12.0f ns/op  (overhead %.0f ns, %.1f%%)\n",
+		res.RPCNsPerOp, res.RPCOverheadNs, 100*res.RPCOverheadNs/res.InprocNsPerOp)
+	fmt.Printf("batched throughput:     %12.0f req/s  (%d clients)\n", res.BatchedReqPerSec, res.Clients)
+	if res.Batch1ReqPerSec > 0 {
+		fmt.Printf("batch-1 throughput:     %12.0f req/s\n", res.Batch1ReqPerSec)
+		fmt.Printf("coalescing speedup:     %12.2fx\n", res.CoalescingSpeedup)
+	}
+	return rep.set("remote", res)
 }

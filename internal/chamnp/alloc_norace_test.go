@@ -5,7 +5,7 @@ package chamnp
 // Warm-path allocation assertions. AllocsPerRun is meaningless under
 // the race detector's instrumented allocator, so this file is excluded
 // from `make race`; the same invariant is gated continuously by
-// `chambench -np -compare` (make bench-diff).
+// `chambench -compare BENCH_hmvp.json np` (make bench-diff).
 
 import (
 	"testing"

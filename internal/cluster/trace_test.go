@@ -46,7 +46,10 @@ func TestClusterTraceEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		c.Card = card
-	}, nil)
+	}, func(c *Config) {
+		// Trace shape only: a hedge (tested in cluster_test.go) leaves the losing leg's spans open.
+		c.HedgeDelay = time.Minute
+	})
 	if _, err := co.SetupKeys(keys); err != nil {
 		t.Fatal(err)
 	}
