@@ -79,12 +79,33 @@ metrics-smoke:
 	if [ $$ok -ne 0 ]; then echo "metrics-smoke: no cham_hmvp_stage_seconds in scrape"; exit 1; fi; \
 	echo "metrics-smoke: ok ($$(grep -c '^cham_' /tmp/chamsim-smoke.metrics) series scraped)"
 
+# boot-drain boots binary $(1) with flags $(2) on 127.0.0.1:$(3), waits
+# for its listener to accept, sends SIGTERM, and requires a zero exit
+# and "drained cleanly" in its output — the shared front-door drain path.
+define boot-drain
+	$(1) $(2) -addr 127.0.0.1:$(3) > $(1).log 2>&1 & \
+	pid=$$!; \
+	up=1; \
+	for i in $$(seq 1 100); do \
+		if bash -c 'exec 3<>/dev/tcp/127.0.0.1/$(3)' 2>/dev/null; then up=0; break; fi; \
+		sleep 0.1; \
+	done; \
+	kill -TERM $$pid 2>/dev/null; \
+	wait $$pid; rc=$$?; \
+	if [ $$up -ne 0 ] || [ $$rc -ne 0 ] || ! grep -q 'drained cleanly' $(1).log; then \
+		echo "$(1): did not boot and drain cleanly (listener up=$$((1-up)), exit $$rc)"; cat $(1).log; exit 1; \
+	fi; \
+	echo "$(1): booted on 127.0.0.1:$(3) and drained cleanly"
+endef
+
 # End-to-end check of the serving tier: the loopback example exercises
 # the full handshake → keys → register → apply → drain flow over TCP,
-# and the remote benchmark path is built (not timed).
+# the chamserve binary is booted and drained with SIGTERM, and the
+# remote benchmark path is built (not timed).
 serve-smoke:
 	$(GO) run ./examples/serve
 	$(GO) build -o /tmp/chamserve-smoke ./cmd/chamserve
+	$(call boot-drain,/tmp/chamserve-smoke,-n 256,19316)
 	$(GO) build -o /tmp/chambench-smoke ./cmd/chambench
 
 # End-to-end check of the tracer: boot chamsim with every apply sampled,
@@ -109,10 +130,12 @@ trace-smoke:
 # End-to-end check of the sharded tier: the loopback cluster example
 # scatters a 4-tile matrix across two shard nodes through the gateway,
 # verifies every gathered product against the cleartext, and drains the
-# whole tier; the cluster binary is built (not run).
+# whole tier; the chamcluster binary is booted with two spawned shards
+# and drained with SIGTERM.
 cluster-smoke:
 	$(GO) run ./examples/cluster
 	$(GO) build -o /tmp/chamcluster-smoke ./cmd/chamcluster
+	$(call boot-drain,/tmp/chamcluster-smoke,-spawn 2 -n 256,19320)
 
 # End-to-end check of the chamnp array tier: the matmul example proves
 # the prepared-once/transpose-free batched product (local + loopback

@@ -14,14 +14,10 @@ import (
 )
 
 // TileApply multiplies only the listed row tiles of a registered matrix
-// with an encrypted vector, returning the tile-labelled packed
-// ciphertexts. Tiles must be strictly ascending.
-func (cl *Client) TileApply(id [32]byte, tiles []uint32, vec []*rlwe.Ciphertext) (wire.TileResult, error) {
-	return cl.TileApplyTraced(trace.Context{}, id, tiles, vec)
-}
-
-// TileApplyTraced is TileApply under a trace context (see ApplyTraced).
-func (cl *Client) TileApplyTraced(tc trace.Context, id [32]byte, tiles []uint32, vec []*rlwe.Ciphertext) (wire.TileResult, error) {
+// with an encrypted vector under a trace context (see ApplyTraced),
+// returning the tile-labelled packed ciphertexts. Tiles must be strictly
+// ascending.
+func (cl *Client) TileApply(tc trace.Context, id [32]byte, tiles []uint32, vec []*rlwe.Ciphertext) (wire.TileResult, error) {
 	payload := wire.EncodeTileApply(cl.cfg.Params.R, wire.TileApply{
 		ID:             id,
 		DeadlineMicros: uint64(cl.cfg.RequestTimeout / time.Microsecond),

@@ -280,7 +280,7 @@ func (co *Coordinator) ApplyTraced(tc trace.Context, id [32]byte, vec []*rlwe.Ci
 				if lsp.Active() {
 					lsp.Annotate(fmt.Sprintf("%d tiles", len(list)))
 				}
-				r, e := cls[order[i]].TileApplyTraced(lctx, id, list, vec)
+				r, e := cls[order[i]].TileApply(lctx, id, list, vec)
 				lsp.EndErr(e)
 				if e != nil {
 					mShardErr.Inc()
@@ -323,7 +323,7 @@ func (co *Coordinator) ApplyTraced(tc trace.Context, id [32]byte, vec []*rlwe.Ci
 		order := ring.Replicas(TileKey(id, missing[0]), len(cls))
 		for _, ni := range order {
 			lctx, lsp := trace.Start(gctx, "coordinator", fmt.Sprintf("rescatter:%d", ni))
-			res, err := cls[ni].TileApplyTraced(lctx, id, missing, vec)
+			res, err := cls[ni].TileApply(lctx, id, missing, vec)
 			lsp.EndErr(err)
 			if err != nil {
 				mShardErr.Inc()

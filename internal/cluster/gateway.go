@@ -1,17 +1,13 @@
 package cluster
 
 import (
-	"bufio"
-	"context"
 	"errors"
 	"fmt"
-	"net"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"cham/internal/obs"
 	"cham/internal/obs/trace"
+	"cham/internal/server"
 	"cham/internal/wire"
 )
 
@@ -26,21 +22,17 @@ type GatewayConfig struct {
 var mGatewayConns = obs.GetGauge("cham_cluster_gateway_connections",
 	"Open client connections on the cluster gateway.")
 
-// Gateway is the cluster's wire-compatible front door: it speaks the
-// exact chamserve protocol (Hello/SetupKeys/RegisterMatrix/Apply/Ping),
-// so an unmodified client sees one big server while the coordinator
-// scatters the work across shards behind it. Control-plane messages are
-// broadcast to every node; Apply is scatter/gather.
+// Gateway is the cluster's wire-compatible front door: it serves the
+// exact chamserve protocol through the same server.Door a chamserve node
+// uses, so an unmodified client sees one big server while the
+// coordinator scatters the work across shards behind it. Control-plane
+// messages are broadcast to every node; Apply is scatter/gather, run
+// inline on the connection's read goroutine under the door's drain
+// barrier. Shutdown drains the gateway only — the shard nodes belong to
+// their own processes.
 type Gateway struct {
-	cfg GatewayConfig
-	co  *Coordinator
-
-	draining atomic.Bool
-	reqWG    sync.WaitGroup
-
-	ln     atomic.Pointer[net.Listener]
-	connMu sync.Mutex
-	conns  map[net.Conn]struct{}
+	*server.Door
+	co *Coordinator
 }
 
 // NewGateway builds a gateway over a coordinator.
@@ -48,97 +40,31 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	if cfg.Coordinator == nil {
 		return nil, fmt.Errorf("cluster: GatewayConfig.Coordinator is required")
 	}
-	if cfg.MaxFrame == 0 {
-		cfg.MaxFrame = wire.DefaultMaxFrame
-	}
-	return &Gateway{cfg: cfg, co: cfg.Coordinator, conns: map[net.Conn]struct{}{}}, nil
+	g := &Gateway{co: cfg.Coordinator}
+	g.Door = server.NewDoor("gateway", g.co.cfg.Log, cfg.MaxFrame, mGatewayConns, g.advertise, g.route)
+	return g, nil
 }
 
-// ListenAndServe listens on addr and serves until Shutdown.
-func (g *Gateway) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return g.Serve(ln)
+// advertise is the gateway's handshake reply: Engines is the cluster
+// width, and batching happens on the shards, so MaxBatch is 1.
+func (g *Gateway) advertise() wire.HelloOK {
+	return wire.HelloOK{Hello: wire.HelloFor(g.co.cfg.Params), Engines: uint32(len(g.co.Nodes())), MaxBatch: 1}
 }
 
-// Serve accepts connections until the listener closes (via Shutdown).
-func (g *Gateway) Serve(ln net.Listener) error {
-	g.ln.Store(&ln)
-	for {
-		c, err := ln.Accept()
-		if err != nil {
-			if g.draining.Load() || errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return err
-		}
-		g.connMu.Lock()
-		g.conns[c] = struct{}{}
-		g.connMu.Unlock()
-		mGatewayConns.Add(1)
-		go g.handleConn(c)
+// route serves the request types the gateway supplies; TileApply and
+// RegistrySync are shard-facing and rejected as unexpected here.
+func (g *Gateway) route(c *server.Conn, t wire.MsgType, seq uint16, tc trace.Context, payload []byte) bool {
+	switch t {
+	case wire.MsgSetupKeys:
+		g.handleSetupKeys(c, seq, payload)
+	case wire.MsgRegisterMatrix:
+		g.handleRegisterMatrix(c, seq, payload)
+	case wire.MsgApply:
+		g.handleApply(c, seq, tc, payload)
+	default:
+		return false
 	}
-}
-
-// Addr reports the bound listener address (nil before Serve).
-func (g *Gateway) Addr() net.Addr {
-	if p := g.ln.Load(); p != nil {
-		return (*p).Addr()
-	}
-	return nil
-}
-
-// Shutdown drains: stop accepting, answer new applies with CodeDraining,
-// finish in-flight scatters, then close remaining connections. The
-// shard nodes are not shut down — they belong to their own processes.
-func (g *Gateway) Shutdown(ctx context.Context) error {
-	g.draining.Store(true)
-	if p := g.ln.Load(); p != nil {
-		(*p).Close()
-	}
-	done := make(chan struct{})
-	go func() {
-		g.reqWG.Wait()
-		close(done)
-	}()
-	var err error
-	select {
-	case <-done:
-	case <-ctx.Done():
-		err = ctx.Err()
-	}
-	g.connMu.Lock()
-	for c := range g.conns {
-		c.Close()
-	}
-	g.conns = map[net.Conn]struct{}{}
-	g.connMu.Unlock()
-	return err
-}
-
-// gwConn is one client connection. Requests are handled inline on the
-// read goroutine — the coordinator's scatter already fans out per
-// request, and cross-client concurrency comes from one goroutine per
-// connection.
-type gwConn struct {
-	g     *Gateway
-	c     net.Conn
-	br    *bufio.Reader
-	wmu   sync.Mutex
-	hello bool
-}
-
-func (c *gwConn) send(t wire.MsgType, seq uint16, payload []byte) {
-	buf := wire.AppendFrame(nil, t, seq, payload)
-	c.wmu.Lock()
-	c.c.Write(buf)
-	c.wmu.Unlock()
-}
-
-func (c *gwConn) sendErr(seq uint16, e *wire.Error) {
-	c.send(wire.MsgError, seq, e.Encode())
+	return true
 }
 
 // wireErr maps a coordinator failure onto the typed wire vocabulary:
@@ -156,112 +82,43 @@ func wireErr(err error) *wire.Error {
 	return wire.Errf(wire.CodeInternal, "%v", err)
 }
 
-func (g *Gateway) handleConn(nc net.Conn) {
-	c := &gwConn{g: g, c: nc, br: bufio.NewReaderSize(nc, 64<<10)}
-	defer func() {
-		g.connMu.Lock()
-		delete(g.conns, nc)
-		g.connMu.Unlock()
-		nc.Close()
-		mGatewayConns.Add(-1)
-	}()
-	for {
-		t, seq, th, payload, err := wire.ReadFrameAny(c.br, g.cfg.MaxFrame)
-		if err != nil {
-			return
-		}
-		tc := trace.Context{Trace: trace.TraceID(th.TraceID), Span: trace.SpanID(th.SpanID), Flags: th.Flags}
-		if !c.hello && t != wire.MsgHello && t != wire.MsgPing {
-			c.sendErr(seq, wire.Errf(wire.CodeBadRequest, "handshake required before %v", t))
-			continue
-		}
-		switch t {
-		case wire.MsgHello:
-			g.handleHello(c, seq, payload)
-		case wire.MsgSetupKeys:
-			g.handleSetupKeys(c, seq, payload)
-		case wire.MsgRegisterMatrix:
-			g.handleRegisterMatrix(c, seq, payload)
-		case wire.MsgApply:
-			g.handleApply(c, seq, tc, payload)
-		case wire.MsgTraceHello:
-			h, derr := wire.DecodeTraceHello(payload)
-			if derr != nil {
-				c.sendErr(seq, wire.Errf(wire.CodeBadRequest, "trace hello: %v", derr))
-				continue
-			}
-			v := uint8(wire.FrameVersionTraced)
-			if h.MaxVersion < v {
-				v = h.MaxVersion
-			}
-			c.send(wire.MsgTraceHelloOK, seq, wire.TraceHelloOK{Version: v}.Encode())
-		case wire.MsgPing:
-			c.send(wire.MsgPong, seq, payload)
-		default:
-			c.sendErr(seq, wire.Errf(wire.CodeBadRequest, "unexpected message type %d at the gateway", t))
-		}
-	}
-}
-
-func (g *Gateway) handleHello(c *gwConn, seq uint16, payload []byte) {
-	h, err := wire.DecodeHello(payload)
-	if err != nil {
-		c.sendErr(seq, wire.Errf(wire.CodeBadRequest, "hello: %v", err))
-		return
-	}
-	want := wire.HelloFor(g.co.cfg.Params)
-	if h != want {
-		c.sendErr(seq, wire.Errf(wire.CodeParamsMismatch,
-			"client params N=%d levels=%d/%d t=%d, cluster has N=%d levels=%d/%d t=%d",
-			h.RingN, h.Levels, h.NormalLevels, h.T,
-			want.RingN, want.Levels, want.NormalLevels, want.T))
-		return
-	}
-	c.hello = true
-	// Engines advertises cluster width; batching happens on the shards,
-	// so the gateway itself reports MaxBatch 1.
-	ok := wire.HelloOK{Hello: want, Engines: uint32(len(g.co.Nodes())), MaxBatch: 1}
-	c.send(wire.MsgHelloOK, seq, ok.Encode())
-}
-
-func (g *Gateway) handleSetupKeys(c *gwConn, seq uint16, payload []byte) {
+func (g *Gateway) handleSetupKeys(c *server.Conn, seq uint16, payload []byte) {
 	keys, err := wire.DecodeSetupKeys(g.co.cfg.Params.R, payload)
 	if err != nil {
-		c.sendErr(seq, wire.Errf(wire.CodeBadRequest, "setup keys: %v", err))
+		c.SendErr(seq, wire.Errf(wire.CodeBadRequest, "setup keys: %v", err))
 		return
 	}
 	hash, err := g.co.SetupKeys(keys)
 	if err != nil {
-		c.sendErr(seq, wireErr(err))
+		c.SendErr(seq, wireErr(err))
 		return
 	}
-	c.send(wire.MsgSetupKeysOK, seq, wire.SetupKeysOK{KeyHash: hash}.Encode())
+	c.Send(wire.MsgSetupKeysOK, seq, wire.SetupKeysOK{KeyHash: hash}.Encode())
 }
 
-func (g *Gateway) handleRegisterMatrix(c *gwConn, seq uint16, payload []byte) {
+func (g *Gateway) handleRegisterMatrix(c *server.Conn, seq uint16, payload []byte) {
 	A, err := wire.DecodeRegisterMatrix(g.co.cfg.Params.T.Q, payload)
 	if err != nil {
-		c.sendErr(seq, wire.Errf(wire.CodeBadRequest, "register matrix: %v", err))
+		c.SendErr(seq, wire.Errf(wire.CodeBadRequest, "register matrix: %v", err))
 		return
 	}
 	h, err := g.co.RegisterMatrix(A)
 	if err != nil {
-		c.sendErr(seq, wireErr(err))
+		c.SendErr(seq, wireErr(err))
 		return
 	}
-	c.send(wire.MsgMatrixHandle, seq, h.Encode())
+	c.Send(wire.MsgMatrixHandle, seq, h.Encode())
 }
 
-func (g *Gateway) handleApply(c *gwConn, seq uint16, tc trace.Context, payload []byte) {
-	if g.draining.Load() {
-		c.sendErr(seq, wire.Errf(wire.CodeDraining, "gateway is shutting down"))
+func (g *Gateway) handleApply(c *server.Conn, seq uint16, tc trace.Context, payload []byte) {
+	if e := g.Admit(nil); e != nil {
+		c.SendErr(seq, e)
 		return
 	}
-	g.reqWG.Add(1)
-	defer g.reqWG.Done()
+	defer g.Done()
 	a, err := wire.DecodeApply(g.co.cfg.Params.R, payload)
 	if err != nil {
-		c.sendErr(seq, wire.Errf(wire.CodeBadRequest, "apply: %v", err))
+		c.SendErr(seq, wire.Errf(wire.CodeBadRequest, "apply: %v", err))
 		return
 	}
 	// The gateway is a trace edge: a request from a traced client keeps
@@ -281,8 +138,8 @@ func (g *Gateway) handleApply(c *gwConn, seq uint16, tc trace.Context, payload [
 			"trace_id", tc.Trace.String(), "dur", time.Since(t0), "err", err != nil)
 	}
 	if err != nil {
-		c.sendErr(seq, wireErr(err))
+		c.SendErr(seq, wireErr(err))
 		return
 	}
-	c.send(wire.MsgResult, seq, wire.EncodeResult(g.co.cfg.Params.R, res))
+	c.Send(wire.MsgResult, seq, wire.EncodeResult(g.co.cfg.Params.R, res))
 }

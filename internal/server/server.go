@@ -21,10 +21,8 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"net"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"cham/internal/bfv"
@@ -142,7 +140,7 @@ type request struct {
 	mat      *regMatrix
 	vec      []*rlwe.Ciphertext
 	tiles    []uint32
-	conn     *serverConn
+	conn     *Conn
 	seq      uint16
 	enqueued time.Time
 	deadline time.Time
@@ -150,8 +148,11 @@ type request struct {
 	qspan    trace.Span    // admission → batch pickup (inert when unsampled)
 }
 
-// Server is a running chamserve instance.
+// Server is a running chamserve instance. Its embedded Door is the wire
+// front door (listener, read loop, handshake, drain barrier); the server
+// supplies the registry, the admission queue and the batcher behind it.
 type Server struct {
+	*Door
 	cfg Config
 
 	mu          sync.RWMutex // guards ev, keyHash, keysPayload, matrices
@@ -161,20 +162,10 @@ type Server struct {
 	keysPayload []byte // canonical SetupKeys encoding, for registry export
 	matrices    map[[32]byte]*regMatrix
 
-	// enqMu serializes admission against drain: enqueuers hold the read
-	// side, Shutdown flips draining under the write side, so no request
-	// can slip into the queue after the drain barrier.
-	enqMu    sync.RWMutex
-	draining bool
-	queue    chan *request
-	batches  chan []*request
+	queue   chan *request
+	batches chan []*request
 
-	reqWG  sync.WaitGroup // admitted requests not yet responded to
-	workWG sync.WaitGroup // dispatcher + workers
-
-	ln        atomic.Pointer[net.Listener]
-	connMu    sync.Mutex
-	conns     map[net.Conn]struct{}
+	workWG    sync.WaitGroup // dispatcher + workers
 	closeOnce sync.Once
 }
 
@@ -190,8 +181,10 @@ func New(cfg Config) (*Server, error) {
 		matrices: map[[32]byte]*regMatrix{},
 		queue:    make(chan *request, cfg.QueueDepth),
 		batches:  make(chan []*request, cfg.Workers),
-		conns:    map[net.Conn]struct{}{},
 	}
+	s.Door = NewDoor("server", cfg.Log, cfg.MaxFrame, mConns, s.advertise, s.route)
+	s.strictV1 = cfg.DisableTrace
+	s.metered = true
 	s.workWG.Add(1 + cfg.Workers)
 	go s.dispatch()
 	for i := 0; i < cfg.Workers; i++ {
@@ -200,89 +193,17 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// ListenAndServe listens on addr and serves until Shutdown.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
-}
-
-// Serve accepts connections on ln until the listener is closed (by
-// Shutdown). It returns nil on a clean shutdown.
-func (s *Server) Serve(ln net.Listener) error {
-	s.ln.Store(&ln)
-	s.cfg.Log.Info("server listening", "addr", ln.Addr().String())
-	for {
-		c, err := ln.Accept()
-		if err != nil {
-			if s.isDraining() || errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return err
-		}
-		s.connMu.Lock()
-		s.conns[c] = struct{}{}
-		s.connMu.Unlock()
-		mConns.Add(1)
-		go s.handleConn(c)
-	}
-}
-
-// Addr reports the bound listener address (nil before Serve).
-func (s *Server) Addr() net.Addr {
-	if p := s.ln.Load(); p != nil {
-		return (*p).Addr()
-	}
-	return nil
-}
-
-func (s *Server) isDraining() bool {
-	s.enqMu.RLock()
-	defer s.enqMu.RUnlock()
-	return s.draining
-}
-
 // Shutdown drains gracefully: stop accepting, reject new applies with
-// CodeDraining, finish every admitted request, then stop the workers and
-// close remaining connections. ctx bounds the wait; on expiry the error
-// is returned after connections are force-closed.
+// CodeDraining, finish every admitted request, close the connections,
+// then stop the workers. ctx bounds the wait; on expiry the error is
+// returned after connections are force-closed.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.cfg.Log.Info("server draining")
-	s.enqMu.Lock()
-	s.draining = true
-	s.enqMu.Unlock()
-	if p := s.ln.Load(); p != nil {
-		(*p).Close()
-	}
-	err := waitCtx(ctx, &s.reqWG)
+	err := s.Door.Shutdown(ctx)
 	s.closeOnce.Do(func() { close(s.queue) })
 	if err == nil {
 		err = waitCtx(ctx, &s.workWG)
 	}
-	s.connMu.Lock()
-	for c := range s.conns {
-		c.Close()
-	}
-	s.conns = map[net.Conn]struct{}{}
-	s.connMu.Unlock()
 	return err
-}
-
-// waitCtx waits for wg or the context, whichever first.
-func waitCtx(ctx context.Context, wg *sync.WaitGroup) error {
-	done := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }
 
 // Matrices reports how many matrices are registered.
@@ -290,33 +211,6 @@ func (s *Server) Matrices() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return len(s.matrices)
-}
-
-// engines reports the mirrored card's engine count (0 without a card).
-func (s *Server) engines() uint32 {
-	if s.cfg.Card == nil {
-		return 0
-	}
-	return uint32(s.cfg.Card.Engines())
-}
-
-// admit runs admission control for one decoded Apply and either enqueues
-// it (returning true) or reports the typed rejection to send.
-func (s *Server) admit(req *request) *wire.Error {
-	s.enqMu.RLock()
-	defer s.enqMu.RUnlock()
-	if s.draining {
-		return wire.Errf(wire.CodeDraining, "server is shutting down")
-	}
-	s.reqWG.Add(1)
-	select {
-	case s.queue <- req:
-		mQueueDepth.Add(1)
-		return nil
-	default:
-		s.reqWG.Done()
-		return wire.Errf(wire.CodeOverloaded, "admission queue full (%d deep)", s.cfg.QueueDepth)
-	}
 }
 
 // dispatch pulls admitted requests and coalesces them into batches.
@@ -517,16 +411,14 @@ func (s *Server) requestRows(req *request) int {
 
 // finish sends a success response and retires the request.
 func (s *Server) finish(req *request, t wire.MsgType, payload []byte) {
-	req.conn.send(t, req.seq, payload)
-	s.reqWG.Done()
+	req.conn.Send(t, req.seq, payload)
+	s.Done()
 }
 
 // finishErr sends a typed failure and retires the request.
 func (s *Server) finishErr(req *request, e *wire.Error) {
-	mErrors.Inc()
-	countReject(e)
-	req.conn.send(wire.MsgError, req.seq, e.Encode())
-	s.reqWG.Done()
+	req.conn.SendErr(req.seq, e)
+	s.Done()
 }
 
 // descriptor builds the card-side job configuration for one batch over
