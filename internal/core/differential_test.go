@@ -130,6 +130,9 @@ func TestHMVPDifferentialN4096(t *testing.T) {
 // the hoisted key-switch and batched-NTT kernels must stay bit-identical
 // to the reference model at N=256 too (a different twiddle-table shape and
 // pack-tree depth than the headline N=4096 run), across all worker counts.
+// The 32-chunk case is the row shape of the matmul-256 benchmark (8192
+// columns), where each row MAC accumulates 32 chunks before its one
+// reduction.
 func TestHMVPDifferentialN256(t *testing.T) {
 	rng := testutil.NewRand(t)
 	p := testParams(t, 256)
@@ -139,12 +142,18 @@ func TestHMVPDifferentialN256(t *testing.T) {
 		t.Fatal(err)
 	}
 	keys := &evKeys{opt: ev.Keys, ref: ref.Keys(p, ev.Keys)}
-	// Dense 6-row, 2-chunk matrix: non-power-of-two rows, padded to 8.
-	rows, cols := 6, p.R.N+11
-	A := testutil.Matrix(rng, rows, cols, p.T.Q)
-	v := testutil.Vector(rng, cols, p.T.Q)
-	ctV := EncryptVector(p, rng, sk, v)
-	runDifferential(t, p, sk, keys, A, v, ctV)
+	for _, s := range []struct{ rows, cols int }{
+		{6, p.R.N + 11},   // dense, 2 chunks: non-power-of-two rows, padded to 8
+		{4, 32*p.R.N - 5}, // dense, 32 chunks, the last one short
+	} {
+		t.Run(fmt.Sprintf("%dx%d", s.rows, s.cols), func(t *testing.T) {
+			rng := testutil.NewRand(t)
+			A := testutil.Matrix(rng, s.rows, s.cols, p.T.Q)
+			v := testutil.Vector(rng, s.cols, p.T.Q)
+			ctV := EncryptVector(p, rng, sk, v)
+			runDifferential(t, p, sk, keys, A, v, ctV)
+		})
+	}
 }
 
 // TestHMVPDifferentialNoise runs the differential check at N=512 with

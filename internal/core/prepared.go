@@ -1,17 +1,20 @@
 package core
 
 // Prepared-matrix HMVP: the per-matrix half of the pipeline (row encode,
-// centred lift, forward NTT, Shoup companion tables) is hoisted out of the
-// per-vector path, mirroring how CHAM keeps operands resident instead of
-// re-streaming them. A PreparedMatrix is built once with Prepare and then
-// applied to any number of encrypted vectors through one driver
-// (apply.go) that reuses pooled scratch end to end, so a warm apply at
-// Workers=1 performs zero heap allocations.
+// centred lift, forward NTT) is hoisted out of the per-vector path,
+// mirroring how CHAM keeps operands resident instead of re-streaming them.
+// A PreparedMatrix is built once with Prepare and then applied to any
+// number of encrypted vectors through one driver (apply.go) that reuses
+// pooled scratch end to end, so a warm apply at Workers=1 performs zero
+// heap allocations.
 //
-// Per row, the dot product fuses stage 4's EXTRACTLWES into the inverse
-// transform: extraction at index 0 only needs the constant coefficient of
-// INTT(acc.B), which is N^{-1}·Σ_j â_j per limb (SumRow), so the B part
-// skips its full inverse transforms and polynomial RESCALE entirely.
+// Per row, the dot product is one delayed-reduction MAC (ring.WideAcc):
+// each coefficient product is a single 128-bit multiply-add and every
+// accumulator is reduced once per row. It also fuses stage 4's
+// EXTRACTLWES into the inverse transform: extraction at index 0 only
+// needs the constant coefficient of INTT(acc.B), which is N^{-1}·Σ_j â_j
+// per limb, so the B part is a 128-bit scalar dot product that skips the
+// inverse transform and polynomial RESCALE entirely.
 
 import (
 	"fmt"
@@ -27,13 +30,12 @@ import (
 )
 
 // preparedTile holds one row tile in evaluation-ready form: every row chunk
-// encoded, lifted to the full basis, forward-transformed, with the tile's
-// packing scale 2^-ℓ already folded in, plus Shoup companion tables so the
-// per-vector MULTPOLY runs at MulShoup speed.
+// encoded, lifted to the full basis and forward-transformed, with the
+// tile's packing scale 2^-ℓ already folded in — all the per-vector
+// MULTPOLY reads.
 type preparedTile struct {
 	rows, mPad int
 	rowNTT     [][]*ring.Poly // [row][chunk], NTT domain, full basis
-	rowShoup   [][][][]uint64 // [row][chunk] = ShoupPrecompPoly(rowNTT)
 }
 
 // PreparedMatrix is a cleartext matrix fixed in evaluation-ready form.
@@ -209,12 +211,11 @@ func (pm *PreparedMatrix) PrepareTile(A [][]uint64, ti int) error {
 	return nil
 }
 
-// buildTile runs stages 1–2 (encode, centred lift, forward NTT, Shoup
-// companions) for one row tile. Encoding scratch is pooled; every
-// long-lived buffer below is carved from a handful of per-tile slabs (one
-// coefficient slab, one Shoup slab, and flat header arrays) instead of
-// row×chunk×limb individual allocations — cold Prepare used to cost
-// thousands of allocs per call.
+// buildTile runs stages 1–2 (encode, centred lift, forward NTT) for one
+// row tile. Encoding scratch is pooled; every long-lived buffer below is
+// carved from a handful of per-tile slabs (one coefficient slab and flat
+// header arrays) instead of row×chunk×limb individual allocations — cold
+// Prepare used to cost thousands of allocs per call.
 func (e *Evaluator) buildTile(pm *PreparedMatrix, A [][]uint64, ti int, rs *rowScratch, clk *obs.StageClock) *preparedTile {
 	p := e.P
 	n := p.R.N
@@ -223,33 +224,26 @@ func (e *Evaluator) buildTile(pm *PreparedMatrix, A [][]uint64, ti int, rs *rowS
 	base, rows, mPad := pm.tileBounds(ti)
 	scale := p.InvPow2(log2(mPad))
 	t := &preparedTile{
-		rows:     rows,
-		mPad:     mPad,
-		rowNTT:   make([][]*ring.Poly, rows),
-		rowShoup: make([][][][]uint64, rows),
+		rows:   rows,
+		mPad:   mPad,
+		rowNTT: make([][]*ring.Poly, rows),
 	}
 	nPolys := rows * chunks
 	polys := make([]ring.Poly, nPolys)
 	polyPtrs := make([]*ring.Poly, nPolys)
-	shoupPtrs := make([][][]uint64, nPolys)
-	limbHdrs := make([][]uint64, 2*nPolys*full)
+	limbHdrs := make([][]uint64, nPolys*full)
 	coeffSlab := make([]uint64, nPolys*full*n)
-	shoupSlab := make([]uint64, nPolys*full*n)
 	for k := 0; k < nPolys; k++ {
 		pc := limbHdrs[:full:full]
-		sh := limbHdrs[full : 2*full : 2*full]
-		limbHdrs = limbHdrs[2*full:]
+		limbHdrs = limbHdrs[full:]
 		for l := 0; l < full; l++ {
 			pc[l], coeffSlab = coeffSlab[:n:n], coeffSlab[n:]
-			sh[l], shoupSlab = shoupSlab[:n:n], shoupSlab[n:]
 		}
 		polys[k].Coeffs = pc
 		polyPtrs[k] = &polys[k]
-		shoupPtrs[k] = sh
 	}
 	for i := 0; i < rows; i++ {
 		rp := polyPtrs[i*chunks : (i+1)*chunks : (i+1)*chunks]
-		rsh := shoupPtrs[i*chunks : (i+1)*chunks : (i+1)*chunks]
 		for c := 0; c < chunks; c++ {
 			lo, hi := c*n, (c+1)*n
 			if hi > cols {
@@ -262,22 +256,21 @@ func (e *Evaluator) buildTile(pm *PreparedMatrix, A [][]uint64, ti int, rs *rowS
 			clk.Mark(obs.StageLift)
 			p.R.NTT(pt)
 			clk.Mark(obs.StageNTT)
-			p.R.ShoupPrecompPolyInto(rsh[c], pt)
-			clk.Skip() // Shoup tables are bookkeeping, not a pipeline stage
 		}
 		t.rowNTT[i] = rp
-		t.rowShoup[i] = rsh
 	}
 	return t
 }
 
 // --- shared per-vector machinery (used by both the prepared apply and MatVec) ---
 
-// rowScratch is the per-worker arena for one row's stages 1–4. The
-// a-part needs no accumulator of its own: it MACs straight into the tree
-// leaf's deferred full-basis buffer.
+// rowScratch is the per-worker arena for one row's stages 1–4. The row
+// MAC accumulates unreduced in acc and reduces once per row: the a-part
+// straight into the tree leaf's deferred full-basis buffer, the b-part
+// into one scalar per limb (dot).
 type rowScratch struct {
-	accB *ring.Poly     // full-basis NTT-domain b accumulator
+	acc  *ring.WideAcc  // full-basis 128-bit row MAC accumulator
+	dot  []uint64       // [limb] reduced b-part dot product of the row
 	pt   *bfv.Plaintext // on-the-fly row encoding (MatVec path)
 	lift *ring.Poly     // on-the-fly lifted row (MatVec path)
 	clk  obs.StageClock // per-stage wall-time attribution (pooled, no allocs)
@@ -290,7 +283,8 @@ func (e *Evaluator) getRowScratch() *rowScratch {
 	r := e.P.R
 	full := r.Levels()
 	return &rowScratch{
-		accB: r.NewPoly(full),
+		acc:  r.NewWideAcc(),
+		dot:  make([]uint64, full),
 		pt:   e.P.NewPlaintext(),
 		lift: r.NewPoly(full),
 	}
@@ -377,13 +371,15 @@ func (e *Evaluator) effWorkers(items int) int {
 
 // loadVector copies the vector ciphertexts (already validated) into
 // scratch and forward-transforms them once — the pipeline's shared
-// stage-1 work.
+// stage-1 work. The copy reduces every residue below q_l, the row MAC's
+// input contract: an in-process caller may hand over any representative.
 func (e *Evaluator) loadVector(sc *applyScratch, ctV []*rlwe.Ciphertext) {
 	r := e.P.R
 	sc.clk.Start()
 	for c, ct := range ctV {
 		v := sc.vNTT[c]
-		v.CopyFrom(ct)
+		r.CopyReduced(v.B, ct.B)
+		r.CopyReduced(v.A, ct.A)
 		sc.clk.Skip() // the copy is not a pipeline stage
 		if !v.B.IsNTT {
 			r.NTT(v.B)
@@ -399,25 +395,20 @@ func (e *Evaluator) loadVector(sc *applyScratch, ctV []*rlwe.Ciphertext) {
 // rowApplyInto runs stages 1–4 for one matrix row against the transformed
 // vector chunks and writes the extracted slot ciphertext into dst as an
 // NTT-resident tree leaf. Both leaf parts stay UN-rescaled: dst.A is the
-// raw full-basis NTT dot-product accumulator itself (the a-part MAC
-// writes straight into it — the tree's deferred a accumulator makes the
-// per-row RESCALE disappear), and dst.BT holds the un-rescaled per-limb B
-// constant in every slot (the NTT image of a constant). Both divisions
-// are deferred to the tree flush. Rows come either prepared (polys/shoup
-// non-nil) or raw (row/scale), in which case the encode+lift+NTT happens
-// on the fly in rs.
-func (e *Evaluator) rowApplyInto(dst *lwe.PackNode, vNTT []*rlwe.Ciphertext, polys []*ring.Poly, shoup [][][]uint64, row []uint64, scale uint64, rs *rowScratch) {
+// raw full-basis NTT dot-product accumulator itself (the tree's deferred
+// a accumulator makes the per-row RESCALE disappear), and dst.BT holds
+// the un-rescaled per-limb B constant in every slot (the NTT image of a
+// constant). Both divisions are deferred to the tree flush. Rows come
+// either prepared (polys non-nil) or raw (row/scale), in which case the
+// encode+lift+NTT happens on the fly in rs; both feed the same MAC.
+func (e *Evaluator) rowApplyInto(dst *lwe.PackNode, vNTT []*rlwe.Ciphertext, polys []*ring.Poly, row []uint64, scale uint64, rs *rowScratch) {
 	p := e.P
 	r := p.R
-	full := r.Levels()
-	accB := rs.accB
-	accB.IsNTT, dst.A.IsNTT = true, true
 	rs.clk.Start()
 	for c := 0; c < len(vNTT); c++ {
 		pt := rs.lift
-		var sh [][]uint64
 		if polys != nil {
-			pt, sh = polys[c], shoup[c]
+			pt = polys[c]
 		} else {
 			lo, hi := c*r.N, (c+1)*r.N
 			if hi > len(row) {
@@ -430,27 +421,18 @@ func (e *Evaluator) rowApplyInto(dst *lwe.PackNode, vNTT []*rlwe.Ciphertext, pol
 			r.NTT(pt)
 			rs.clk.Mark(obs.StageNTT)
 		}
-		switch {
-		case c == 0 && sh != nil:
-			r.MulCoeffShoupDual(accB, dst.A, vNTT[c].B, vNTT[c].A, pt, sh)
-		case c == 0:
-			r.MulCoeff(accB, vNTT[c].B, pt)
-			r.MulCoeff(dst.A, vNTT[c].A, pt)
-		case sh != nil:
-			r.MulCoeffShoupDualAdd(accB, dst.A, vNTT[c].B, vNTT[c].A, pt, sh)
-		default:
-			r.MulCoeffAdd(accB, vNTT[c].B, pt)
-			r.MulCoeffAdd(dst.A, vNTT[c].A, pt)
-		}
+		r.MulAccWide(rs.acc, vNTT[c].B, vNTT[c].A, pt)
 		rs.clk.Mark(obs.StageRowMul)
 	}
+	r.ReduceWide(dst.A, rs.dot, rs.acc)
+	rs.clk.Mark(obs.StageRowMul)
 	// B: EXTRACT at index 0 keeps only the constant coefficient of the
-	// inverse transform, which is N^{-1}·Σ_j â_j per limb (SumRow). Its
-	// scalar RESCALE is DEFERRED to the tree flush: the leaf's BT carries
-	// the un-rescaled constant β per full-basis limb, whose NTT image is β
-	// in every slot.
-	for l := 0; l < full; l++ {
-		beta := r.Moduli[l].MulShoup(r.SumRow(accB, l), e.invN[l], e.invNShoup[l])
+	// inverse transform, which is N^{-1}·Σ_j â_j per limb — the b-part dot
+	// product. Its scalar RESCALE is DEFERRED to the tree flush: the
+	// leaf's BT carries the un-rescaled constant β per full-basis limb,
+	// whose NTT image is β in every slot.
+	for l, sum := range rs.dot {
+		beta := r.Moduli[l].MulShoup(sum, e.invN[l], e.invNShoup[l])
 		rb := dst.BT.Coeffs[l]
 		for i := range rb {
 			rb[i] = beta
@@ -493,9 +475,9 @@ func (e *Evaluator) tileApply(out *rlwe.Ciphertext, sc *applyScratch, tile *prep
 // the prepared tile or the raw matrix row.
 func (e *Evaluator) tileRow(sc *applyScratch, tile *preparedTile, raw [][]uint64, scale uint64, i int, rs *rowScratch) {
 	if tile != nil {
-		e.rowApplyInto(sc.tree[i], sc.vNTT, tile.rowNTT[i], tile.rowShoup[i], nil, 0, rs)
+		e.rowApplyInto(sc.tree[i], sc.vNTT, tile.rowNTT[i], nil, 0, rs)
 	} else {
-		e.rowApplyInto(sc.tree[i], sc.vNTT, nil, nil, raw[i], scale, rs)
+		e.rowApplyInto(sc.tree[i], sc.vNTT, nil, raw[i], scale, rs)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cham/internal/obs"
+	"cham/internal/ring"
 	"cham/internal/rlwe"
 	"cham/internal/testutil"
 )
@@ -372,4 +373,71 @@ func TestPrepareTilesSparse(t *testing.T) {
 	}
 	_, err = ev.PrepareTiles(A, []int{0, 99})
 	wantErr(t, err, ErrTileIndex, "PrepareTiles out-of-range subset")
+}
+
+// TestApplyUnreducedVectorResidues: the row MAC's overflow budget assumes
+// vector residues below q_l, and an in-process caller may hand over any
+// representative. A vector whose NTT-domain residues are all shifted by
+// +q_l, or lifted to their largest representative below 2^64 (products
+// far outside the fold budget's reduced-operand premise), must give
+// products bit-identical to the canonical vector, through the prepared
+// apply and MatVec alike.
+func TestApplyUnreducedVectorResidues(t *testing.T) {
+	p := testParams(t, 64)
+	rng := testutil.NewRand(t)
+	sk := p.KeyGen(rng)
+	ev, err := NewEvaluator(p, rng, sk, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, cols := 5, 3*p.R.N-7
+	A := testutil.Matrix(rng, rows, cols, p.T.Q)
+	ctV := EncryptVector(p, rng, sk, testutil.Vector(rng, cols, p.T.Q))
+	pm, err := ev.Prepare(A)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := pm.Apply(ctV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shift := range []struct {
+		name string
+		lift func(x, q uint64) uint64
+	}{
+		{"+q", func(x, q uint64) uint64 { return x + q }},
+		{"top", func(x, q uint64) uint64 { return x + (^uint64(0)-x)/q*q }},
+	} {
+		shifted := make([]*rlwe.Ciphertext, len(ctV))
+		for c, ct := range ctV {
+			s := ct.Copy()
+			for _, poly := range []*ring.Poly{s.B, s.A} {
+				if !poly.IsNTT {
+					p.R.NTT(poly)
+				}
+				for l, m := range p.R.Moduli {
+					for i, x := range poly.Coeffs[l] {
+						poly.Coeffs[l][i] = shift.lift(x, m.Q)
+					}
+				}
+			}
+			shifted[c] = s
+		}
+		got, err := pm.Apply(shifted)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mv, err := ev.MatVec(A, shifted)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ti := range want.Packed {
+			if !ctEqual(got.Packed[ti], want.Packed[ti]) {
+				t.Errorf("%s tile %d: Apply of the shifted vector differs", shift.name, ti)
+			}
+			if !ctEqual(mv.Packed[ti], want.Packed[ti]) {
+				t.Errorf("%s tile %d: MatVec of the shifted vector differs", shift.name, ti)
+			}
+		}
+	}
 }

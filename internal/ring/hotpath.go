@@ -1,7 +1,8 @@
 package ring
 
 // Hot-path support: pooled polynomial buffers, fused multiply-accumulate
-// kernels, Shoup companion tables for fixed operands, and an in-place
+// kernels (Shoup companion tables for fixed key-switch operands, and the
+// delayed-reduction WideAcc for the row dot product), and an in-place
 // RESCALE (ModDownInto) with cached per-limb constants. Together these let
 // the HMVP pipeline (core.MatVec / core.PreparedMatrix) run with zero heap
 // allocations after warm-up, the software analogue of CHAM's
@@ -72,7 +73,7 @@ func (r *Ring) MulCoeffAdd(out, a, b *Poly) {
 // ShoupPrecompPoly returns the Shoup companion table of p — one word per
 // coefficient — for use as the fixed operand of MulCoeffShoup and
 // MulCoeffShoupAdd. Worth computing once whenever p multiplies more than a
-// couple of polynomials (switching keys, prepared matrix rows).
+// couple of polynomials (switching keys).
 func (r *Ring) ShoupPrecompPoly(p *Poly) [][]uint64 {
 	out := make([][]uint64, p.Levels())
 	backing := make([]uint64, p.Levels()*r.N)
@@ -84,23 +85,6 @@ func (r *Ring) ShoupPrecompPoly(p *Poly) [][]uint64 {
 		}
 	}
 	return out
-}
-
-// ShoupPrecompPolyInto fills dst (one row of at least N words per limb of
-// p) with p's Shoup companion table, the allocation-free form of
-// ShoupPrecompPoly used when the caller slabs many tables into one
-// backing array (prepared-matrix rows).
-func (r *Ring) ShoupPrecompPolyInto(dst [][]uint64, p *Poly) {
-	if len(dst) < p.Levels() {
-		panic("ring: Shoup table level mismatch")
-	}
-	for l := 0; l < p.Levels(); l++ {
-		m := r.Moduli[l]
-		row := dst[l][:r.N]
-		for i, v := range p.Coeffs[l][:r.N] {
-			row[i] = m.ShoupPrecomp(v)
-		}
-	}
 }
 
 // MulCoeffShoup sets out = a ∘ b where bShoup = ShoupPrecompPoly(b).
@@ -166,58 +150,148 @@ func (r *Ring) MulCoeffShoupPairAdd(out, a0, b0 *Poly, s0 [][]uint64, a1, b1 *Po
 	}
 }
 
-// MulCoeffShoupDual multiplies one fixed operand against two polynomials
-// in a single sweep: outB = aB ∘ b and outA = aA ∘ b, reading b and its
-// Shoup table once — the dot-product MAC of the row apply, where the
-// prepared row multiplies both halves of a vector ciphertext.
-func (r *Ring) MulCoeffShoupDual(outB, outA, aB, aA, b *Poly, bShoup [][]uint64) {
-	lv := sameLevels(outB, outA, aB, aA, b)
-	sameDomain(aB, aA, b)
-	for l := 0; l < lv; l++ {
-		m := r.Moduli[l]
-		rb, ra := aB.Coeffs[l], aA.Coeffs[l]
-		rk, rs := b.Coeffs[l], bShoup[l]
-		rob, roa := outB.Coeffs[l], outA.Coeffs[l]
-		for i := range rob {
-			k, s := rk[i], rs[i]
-			rob[i] = m.MulShoup(rb[i], k, s)
-			roa[i] = m.MulShoup(ra[i], k, s)
-		}
-	}
-	outB.IsNTT, outA.IsNTT = aB.IsNTT, aA.IsNTT
+// WideAcc is the delayed-reduction accumulator of one row dot product
+// Σ_c (b_c, a_c) ∘ w_c — the row MAC of the HMVP pipeline, where a row
+// polynomial w_c multiplies both halves of vector ciphertext c. Per limb
+// it holds N 128-bit lanes for the coefficient-wise a-part and one 128-bit
+// scalar for the b-part, of which only the coefficient sum is ever needed
+// (EXTRACT at index 0). Every product is one bits.Mul64 added into 128
+// bits; each lane is reduced once, by ReduceWide, when the row is done.
+//
+// The 128-bit sums must stay below q·2^64, the BarrettReduce128 input
+// bound. Products of reduced residues are below q², so a sum of up to
+// ⌊(2^64-1)/q⌋ of them is safe; when a lane reaches that budget it is
+// folded back to its residue (which then counts as one term) before the
+// next product lands. For the CHAM moduli (< 2^39) the budget exceeds
+// 2^25 terms and no fold ever runs; a 62-bit modulus folds every few.
+// A WideAcc must not be shared between goroutines.
+type WideAcc struct {
+	hi, lo       [][]uint64 // [limb][coeff] a-part lanes
+	dotHi, dotLo []uint64   // [limb] b-part sum
+	terms        []uint64   // [limb] products per a-part lane since the last fold
+	dotTerms     []uint64   // [limb] products in the b-part sum since the last fold
+	budget       []uint64   // [limb] ⌊(2^64-1)/q_l⌋, the fold point
+	isNTT        bool       // domain of the operands, carried to ReduceWide's output
 }
 
-// MulCoeffShoupDualAdd is the accumulating form of MulCoeffShoupDual:
-// outB += aB ∘ b and outA += aA ∘ b in one sweep.
-func (r *Ring) MulCoeffShoupDualAdd(outB, outA, aB, aA, b *Poly, bShoup [][]uint64) {
-	lv := sameLevels(outB, outA, aB, aA, b)
-	sameDomain(aB, aA, b)
+// NewWideAcc returns a zeroed accumulator over the full basis.
+func (r *Ring) NewWideAcc() *WideAcc {
+	lv := len(r.Moduli)
+	acc := &WideAcc{
+		hi:       make([][]uint64, lv),
+		lo:       make([][]uint64, lv),
+		dotHi:    make([]uint64, lv),
+		dotLo:    make([]uint64, lv),
+		terms:    make([]uint64, lv),
+		dotTerms: make([]uint64, lv),
+		budget:   make([]uint64, lv),
+	}
+	lanes := make([]uint64, 2*lv*r.N)
+	for l, m := range r.Moduli {
+		acc.hi[l], lanes = lanes[:r.N:r.N], lanes[r.N:]
+		acc.lo[l], lanes = lanes[:r.N:r.N], lanes[r.N:]
+		acc.budget[l] = ^uint64(0) / m.Q
+	}
+	return acc
+}
+
+// MulAccWide adds one chunk of a row dot product into acc: the a-part
+// lanes gain a ∘ w and the b-part sum gains Σ_i b_i·w_i, per limb, with
+// no modular reduction. Every residue of b, a and w must be reduced
+// (below q_l): the fold budget is counted in products of reduced
+// operands.
+func (r *Ring) MulAccWide(acc *WideAcc, b, a, w *Poly) {
+	lv := sameLevels(b, a, w)
+	sameDomain(b, a, w)
+	acc.isNTT = w.IsNTT
 	for l := 0; l < lv; l++ {
 		m := r.Moduli[l]
-		rb, ra := aB.Coeffs[l], aA.Coeffs[l]
-		rk, rs := b.Coeffs[l], bShoup[l]
-		rob, roa := outB.Coeffs[l], outA.Coeffs[l]
-		for i := range rob {
-			k, s := rk[i], rs[i]
-			rob[i] = m.Add(rob[i], m.MulShoup(rb[i], k, s))
-			roa[i] = m.Add(roa[i], m.MulShoup(ra[i], k, s))
+		budget := acc.budget[l]
+		hi, lo := acc.hi[l], acc.lo[l]
+		if acc.terms[l] == budget {
+			for i := range lo {
+				lo[i], hi[i] = m.BarrettReduce128(hi[i], lo[i]), 0
+			}
+			acc.terms[l] = 1
 		}
+		acc.terms[l]++
+		rb, ra, rw := b.Coeffs[l], a.Coeffs[l], w.Coeffs[l]
+		sHi, sLo := acc.dotHi[l], acc.dotLo[l]
+		for i := 0; i < len(lo); {
+			if acc.dotTerms[l] == budget {
+				sHi, sLo = 0, m.BarrettReduce128(sHi, sLo)
+				acc.dotTerms[l] = 1
+			}
+			end := len(lo)
+			if room := budget - acc.dotTerms[l]; uint64(end-i) > room {
+				end = i + int(room)
+			}
+			acc.dotTerms[l] += uint64(end - i)
+			sHi, sLo = mulAccWideSpan(hi[i:end], lo[i:end], rb[i:end], ra[i:end], rw[i:end], sHi, sLo)
+			i = end
+		}
+		acc.dotHi[l], acc.dotLo[l] = sHi, sLo
 	}
 }
 
-// SumRow returns Σ_i p.Coeffs[l][i] mod q_l, accumulated in 128 bits and
-// reduced once. For an NTT-domain row, N^-1 times this sum is the constant
-// coefficient of the inverse transform (Σ_j ψ^{ij·...} telescopes to zero
-// for every i except 0) — the shortcut EXTRACT uses to avoid a full INTT
-// when only coefficient 0 is needed.
-func (r *Ring) SumRow(p *Poly, l int) uint64 {
-	m := r.Moduli[l]
-	var hi, lo, c uint64
-	for _, v := range p.Coeffs[l] {
-		lo, c = bits.Add64(lo, v, 0)
-		hi += c
+// mulAccWideSpan is MulAccWide's inner loop over one span of a limb:
+// hi:lo[i] += a[i]·w[i] and the returned sHi:sLo = sHi:sLo + Σ b[i]·w[i],
+// all in unreduced 128-bit arithmetic. The caller keeps every sum within
+// its fold budget.
+func mulAccWideSpan(hi, lo, b, a, w []uint64, sHi, sLo uint64) (uint64, uint64) {
+	n := len(lo)
+	hi, b, a, w = hi[:n], b[:n], a[:n], w[:n]
+	for i := range lo {
+		wi := w[i]
+		ph, pl := bits.Mul64(a[i], wi)
+		var c uint64
+		lo[i], c = bits.Add64(lo[i], pl, 0)
+		hi[i] += ph + c
+		ph, pl = bits.Mul64(b[i], wi)
+		sLo, c = bits.Add64(sLo, pl, 0)
+		sHi += ph + c
 	}
-	return m.BarrettReduce128(hi, lo)
+	return sHi, sLo
+}
+
+// ReduceWide finishes a row: each a-part lane is reduced once into out
+// (canonical residues, in the operands' domain) and each limb's b-part sum
+// into dot[l]. acc is left zeroed, ready for the next row.
+func (r *Ring) ReduceWide(out *Poly, dot []uint64, acc *WideAcc) {
+	for l := range out.Coeffs {
+		m := r.Moduli[l]
+		hi, lo, ro := acc.hi[l], acc.lo[l], out.Coeffs[l]
+		lo = lo[:len(ro)]
+		hi = hi[:len(ro)]
+		for i := range ro {
+			ro[i] = m.BarrettReduce128(hi[i], lo[i])
+			hi[i], lo[i] = 0, 0
+		}
+		dot[l] = m.BarrettReduce128(acc.dotHi[l], acc.dotLo[l])
+		acc.dotHi[l], acc.dotLo[l] = 0, 0
+		acc.terms[l], acc.dotTerms[l] = 0, 0
+	}
+	out.IsNTT = acc.isNTT
+}
+
+// CopyReduced copies p into out (same level count) with every residue
+// brought into [0, q_l) — how operands enter the delayed-reduction
+// kernels, whose overflow budget assumes reduced inputs. Reduced residues
+// pass through unchanged, so CopyReduced matches CopyFrom on them.
+func (r *Ring) CopyReduced(out, p *Poly) {
+	sameLevels(out, p)
+	for l := range p.Coeffs {
+		m := r.Moduli[l]
+		rp, ro := p.Coeffs[l], out.Coeffs[l]
+		ro = ro[:len(rp)]
+		for i, v := range rp {
+			if v >= m.Q {
+				v = m.ReduceBarrett(v)
+			}
+			ro[i] = v
+		}
+	}
+	out.IsNTT = p.IsNTT
 }
 
 // ModDownScalar applies the ModDown rounding division to a single
